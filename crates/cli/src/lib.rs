@@ -12,19 +12,17 @@ pub mod reporter;
 use std::fmt::Write as _;
 
 use coolair::{train_cooling_model, CoolingModel, TrainingConfig, Version};
-use coolair_runner::{Executor, ExecutorConfig};
+use coolair_fleet::{fleet_lane_jobs, FleetOutcome, FleetSpec};
+use coolair_learn::{LearnOutcome, LearnSpec};
+use coolair_runner::{run_campaign, Campaign, Executor, ExecutorConfig};
 use coolair_sim::jobs::KIND_COOLING_MODEL;
 use coolair_sim::{
     disk_reliability, model_error_cdfs, run_annual_with_model, run_days_traced, sweep_locations,
     sweep_one, train_for_location, AnnualConfig, FaultPlan, FaultRates, ReliabilityParams,
     SystemSpec,
 };
-use coolair_fleet::{
-    fleet_lane_jobs, run_fleet_with, FleetOutcome, FleetSpec, KIND_FLEET_REPORT,
-};
-use coolair_learn::{run_learn_with, LearnOutcome, LearnSpec, KIND_LEARN_REPORT};
 use coolair_telemetry::{Telemetry, TraceRecord};
-use coolair_tune::{run_tune_with, TuneOutcome, TuneSpec, KIND_TUNE_REPORT};
+use coolair_tune::{TuneOutcome, TuneSpec};
 use coolair_weather::{shard_locations, world_locations, Location, TmySeries, WorldGrid};
 use coolair_workload::TraceKind;
 
@@ -32,6 +30,25 @@ use reporter::Table;
 
 /// A CLI-level error: a message for the user.
 pub type CliError = String;
+
+/// One registered campaign kind, as the CLI drives it.
+struct CliKind {
+    name: &'static str,
+    command: fn(&[String]) -> Result<String, CliError>,
+    render: fn(&str) -> Option<String>,
+}
+
+/// A registered campaign's [`CliKind`], for
+/// [`coolair_serve::campaign_registry`].
+macro_rules! cli_kind {
+    ($spec:ty) => {
+        CliKind {
+            name: <$spec as Campaign>::NAME,
+            command: campaign_command::<$spec>,
+            render: render_outcome::<$spec>,
+        }
+    };
+}
 
 /// Parses a location name.
 ///
@@ -373,8 +390,8 @@ impl ReportError {
 
 /// `coolair report` — render a run summary from a `.jsonl` trace file
 /// written by `run --trace` (event counts, timeline, histograms, profile),
-/// or the robust-vs-nominal comparison from a tune outcome written by
-/// `tune --out`.
+/// or the report of a campaign outcome written by `tune|fleet|learn
+/// --out`.
 ///
 /// # Errors
 ///
@@ -389,19 +406,12 @@ pub fn cmd_report(path: &str) -> Result<String, ReportError> {
             ReportError::Corrupt(format!("read {path}: {e}"))
         }
     })?;
-    // A tune outcome is one pretty-printed JSON document spanning many
-    // lines, so it can never parse as a JSONL trace — try it first.
-    if let Ok(outcome) = serde_json::from_str::<TuneOutcome>(&text) {
-        return Ok(reporter::render_tune(&outcome));
-    }
-    // Same story for a fleet outcome written by `coolair fleet --out`.
-    if let Ok(outcome) = serde_json::from_str::<FleetOutcome>(&text) {
-        return Ok(reporter::render_fleet(&outcome));
-    }
-    // And for a learn outcome written by `coolair learn --out` (or fetched
-    // from the daemon's `learn-report` artifact kind).
-    if let Ok(outcome) = serde_json::from_str::<LearnOutcome>(&text) {
-        return Ok(reporter::render_learn(&outcome));
+    // A campaign outcome (`--out`, or a fetched `*-report` artifact) is one
+    // pretty-printed JSON document spanning many lines, so it can never
+    // parse as a JSONL trace — try every registered kind first.
+    let kinds = coolair_serve::campaign_registry!(cli_kind);
+    if let Some(report) = kinds.iter().find_map(|kind| (kind.render)(&text)) {
+        return Ok(report);
     }
     let mut records: Vec<TraceRecord> = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -618,14 +628,7 @@ pub fn cmd_sweep(args: &SweepArgs) -> Result<String, CliError> {
     let selected = shard_locations(&grid, k, n);
 
     let telemetry = Telemetry::discard();
-    let exec = Executor::new(ExecutorConfig {
-        threads: args.threads,
-        store_dir: args.store.as_ref().map(std::path::PathBuf::from),
-        resume: args.resume,
-        telemetry: telemetry.clone(),
-        ..ExecutorConfig::default()
-    })
-    .map_err(|e| format!("open store: {e}"))?;
+    let exec = open_executor(args.threads, args.store.as_ref(), args.resume, &telemetry)?;
 
     let started = std::time::Instant::now();
     let report = sweep_locations(&selected, &annual, &exec);
@@ -664,17 +667,13 @@ pub fn cmd_sweep(args: &SweepArgs) -> Result<String, CliError> {
     }
 }
 
-/// Arguments of `coolair tune`.
-#[derive(Debug, Clone)]
-pub struct TuneArgs {
-    /// Master seed (all search and scenario entropy derives from it).
-    pub seed: u64,
-    /// Use the tiny CI smoke spec instead of the shipped suite.
-    pub smoke: bool,
-    /// Override the spec's decomposition-round budget.
-    pub rounds: Option<usize>,
-    /// Override the spec's local-search proposals per round.
-    pub iters: Option<usize>,
+/// The spec seed campaign subcommands use when `--seed` is absent.
+const DEFAULT_CAMPAIGN_SEED: u64 = 7;
+
+/// Flags shared by every campaign subcommand (`coolair tune`, `fleet`,
+/// `learn`, ...).
+#[derive(Debug, Clone, Default)]
+pub struct CampaignArgs {
     /// Worker threads (0 → available parallelism).
     pub threads: usize,
     /// Store directory for memoized evaluations and the report artifact;
@@ -682,160 +681,152 @@ pub struct TuneArgs {
     pub store: Option<String>,
     /// Replay the store's journal instead of starting a fresh one.
     pub resume: bool,
-    /// Write the full [`TuneOutcome`] to this path as pretty JSON
-    /// (renderable later with `coolair report`).
+    /// Write the full outcome to this path as pretty JSON (renderable
+    /// later with `coolair report`).
     pub out: Option<String>,
 }
 
-impl Default for TuneArgs {
-    fn default() -> Self {
-        TuneArgs {
-            seed: 7,
-            smoke: false,
-            rounds: None,
-            iters: None,
-            threads: 0,
-            store: None,
-            resume: false,
-            out: None,
+impl CampaignArgs {
+    /// Reads `--threads`, `--store`, `--resume` and `--out`.
+    fn from_flags(flags: &Flags) -> Result<Self, CliError> {
+        Ok(CampaignArgs {
+            threads: flag(flags, "threads")?.unwrap_or(0),
+            store: flags.get("store").cloned(),
+            resume: flags.contains_key("resume"),
+            out: flags.get("out").cloned(),
+        })
+    }
+}
+
+/// Opens an executor, store-backed when `store` is given.
+fn open_executor(
+    threads: usize,
+    store: Option<&String>,
+    resume: bool,
+    telemetry: &Telemetry,
+) -> Result<Executor, CliError> {
+    Executor::new(ExecutorConfig {
+        threads,
+        store_dir: store.map(std::path::PathBuf::from),
+        resume,
+        telemetry: telemetry.clone(),
+        ..ExecutorConfig::default()
+    })
+    .map_err(|e| format!("open store: {e}"))
+}
+
+/// The CLI's side of a registered campaign kind: the flags that build its
+/// spec and the renderer of its outcome ([`cmd_campaign`] does the rest).
+pub trait CliCampaign: Campaign {
+    /// Builds the spec: the shipped (or, with `--smoke`, the smoke) preset
+    /// at `seed`, adjusted by the kind's own flags.
+    ///
+    /// # Errors
+    ///
+    /// Malformed flag values.
+    fn from_flags(seed: u64, smoke: bool, flags: &Flags) -> Result<Self, CliError>;
+
+    /// Renders an outcome: the subcommand's report, and what
+    /// `coolair report` prints for a saved outcome.
+    fn render(outcome: &Self::Outcome) -> String;
+
+    /// Runs the subcommand; kinds with an extra mode (fleet's `--shard`
+    /// warm-up) override it.
+    ///
+    /// # Errors
+    ///
+    /// As [`cmd_campaign`].
+    fn command(&self, args: &CampaignArgs, _flags: &Flags) -> Result<String, CliError> {
+        cmd_campaign(self, args)
+    }
+}
+
+impl CliCampaign for TuneSpec {
+    fn from_flags(seed: u64, smoke: bool, flags: &Flags) -> Result<Self, CliError> {
+        let mut spec = if smoke { TuneSpec::smoke(seed) } else { TuneSpec::shipped(seed) };
+        if let Some(rounds) = flag::<usize>(flags, "rounds")? {
+            spec.rounds = rounds.max(1);
+        }
+        if let Some(iters) = flag::<usize>(flags, "iters")? {
+            spec.iters = iters.max(1);
+        }
+        Ok(spec)
+    }
+
+    fn render(outcome: &TuneOutcome) -> String {
+        reporter::render_tune(outcome)
+    }
+}
+
+impl CliCampaign for FleetSpec {
+    fn from_flags(seed: u64, smoke: bool, flags: &Flags) -> Result<Self, CliError> {
+        let mut spec = if smoke { FleetSpec::smoke(seed) } else { FleetSpec::shipped(seed) };
+        if let Some(containers) = flag(flags, "containers")? {
+            spec.containers = containers;
+        }
+        if let Some(sites) = flags.get("sites") {
+            spec.sites = parse_sites(sites)?;
+        }
+        if let Some(epochs) = flag(flags, "epochs")? {
+            spec.epochs = epochs;
+        }
+        Ok(spec)
+    }
+
+    fn render(outcome: &FleetOutcome) -> String {
+        reporter::render_fleet(outcome)
+    }
+
+    fn command(&self, args: &CampaignArgs, flags: &Flags) -> Result<String, CliError> {
+        match flags.get("shard").map(|v| parse_shard(v)).transpose()? {
+            Some(shard) => cmd_fleet_shard(self, args, shard),
+            None => cmd_campaign(self, args),
         }
     }
 }
 
-/// `coolair tune` — worst-case-robust controller tuning via adversarial
-/// scenario decomposition. Prints the robust-vs-nominal comparison and
-/// persists the report artifact under `tune-report/<spec-digest>` when a
-/// store is given.
+impl CliCampaign for LearnSpec {
+    fn from_flags(seed: u64, smoke: bool, _flags: &Flags) -> Result<Self, CliError> {
+        Ok(if smoke { LearnSpec::smoke(seed) } else { LearnSpec::shipped(seed) })
+    }
+
+    fn render(outcome: &LearnOutcome) -> String {
+        reporter::render_learn(outcome)
+    }
+}
+
+/// `coolair tune|fleet|learn` — runs one campaign and prints its report
+/// plus memo, store-cache and wall-clock lines. The report artifact lands
+/// in `--store`, where every evaluation is memoized, so `--resume` replays
+/// a killed run byte-identically; `--out` gets the outcome as JSON.
 ///
 /// # Errors
 ///
-/// Propagates store and output-file I/O errors.
-pub fn cmd_tune(args: &TuneArgs) -> Result<String, CliError> {
-    let mut spec = if args.smoke { TuneSpec::smoke(args.seed) } else { TuneSpec::shipped(args.seed) };
-    if let Some(rounds) = args.rounds {
-        spec.rounds = rounds.max(1);
-    }
-    if let Some(iters) = args.iters {
-        spec.iters = iters.max(1);
-    }
+/// An invalid spec, a failed run, and store or output-file I/O errors.
+pub fn cmd_campaign<C: CliCampaign>(spec: &C, args: &CampaignArgs) -> Result<String, CliError> {
+    spec.validate().map_err(|e| format!("invalid {} spec: {e}", C::NAME))?;
     let telemetry = Telemetry::discard();
-    let exec = Executor::new(ExecutorConfig {
-        threads: args.threads,
-        store_dir: args.store.as_ref().map(std::path::PathBuf::from),
-        resume: args.resume,
-        telemetry: telemetry.clone(),
-        ..ExecutorConfig::default()
-    })
-    .map_err(|e| format!("open store: {e}"))?;
-
+    let exec = open_executor(args.threads, args.store.as_ref(), args.resume, &telemetry)?;
     let started = std::time::Instant::now();
-    let outcome = run_tune_with(&spec, &exec, &telemetry);
+    let outcome = run_campaign(spec, &exec, &telemetry)?;
     let elapsed = started.elapsed();
-
-    if let Some(store) = exec.store() {
-        store
-            .put(KIND_TUNE_REPORT, spec.digest(), &outcome)
-            .map_err(|e| format!("store tune report: {e}"))?;
-    }
     if let Some(path) = &args.out {
         let json = serde_json::to_vec_pretty(&outcome)
-            .map_err(|e| format!("serialise tune outcome: {e}"))?;
+            .map_err(|e| format!("serialise {} outcome: {e}", C::NAME))?;
         std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
     }
 
-    let mut out = reporter::render_tune(&outcome);
+    let mut out = C::render(&outcome);
     let metrics = telemetry.metrics();
-    let _ = writeln!(
-        out,
-        "memo: {} hits / {} misses in-process, {} store cache hits",
-        metrics.counter("tune.memo.hit"),
-        metrics.counter("tune.memo.miss"),
-        telemetry.metrics().counter("runner.cache-hit"),
-    );
+    let hits = metrics.counter(&format!("{}.memo.hit", C::NAME));
+    let misses = metrics.counter(&format!("{}.memo.miss", C::NAME));
+    if hits + misses > 0 {
+        let _ = writeln!(out, "memo: {hits} hits / {misses} misses in-process");
+    }
+    let _ = writeln!(out, "store cache hits: {}", metrics.counter("runner.cache-hit"));
     let _ = writeln!(out, "wall clock: {:.2} s", elapsed.as_secs_f64());
     if exec.store().is_some() {
-        let _ = writeln!(out, "report artifact: tune-report/{}", spec.digest());
-    }
-    if let Some(path) = &args.out {
-        let _ = writeln!(out, "outcome written to {path} (render with `coolair report {path}`)");
-    }
-    Ok(out)
-}
-
-/// Arguments of `coolair learn`.
-#[derive(Debug, Clone)]
-pub struct LearnArgs {
-    /// Master seed (all training and scenario entropy derives from it).
-    pub seed: u64,
-    /// Use the tiny CI smoke spec instead of the shipped suite.
-    pub smoke: bool,
-    /// Worker threads (0 → available parallelism).
-    pub threads: usize,
-    /// Store directory for memoized rollouts and the report artifact;
-    /// `None` runs in memory (no caching, no resume).
-    pub store: Option<String>,
-    /// Replay the store's journal instead of starting a fresh one.
-    pub resume: bool,
-    /// Write the full [`LearnOutcome`] to this path as pretty JSON
-    /// (renderable later with `coolair report`).
-    pub out: Option<String>,
-}
-
-impl Default for LearnArgs {
-    fn default() -> Self {
-        LearnArgs { seed: 7, smoke: false, threads: 0, store: None, resume: false, out: None }
-    }
-}
-
-/// `coolair learn` — train the baseline learners (CEM schedule search,
-/// tabular Q) over the gym-style episode suite, then benchmark them
-/// head-to-head against the random floor, TKS, CoolAir-M5P, and the
-/// supervisor. Every rollout is memoized in the store, so
-/// `--store`/`--resume` replays a killed run byte-identically.
-///
-/// # Errors
-///
-/// Propagates spec validation and store/output I/O errors.
-pub fn cmd_learn(args: &LearnArgs) -> Result<String, CliError> {
-    let spec = if args.smoke { LearnSpec::smoke(args.seed) } else { LearnSpec::shipped(args.seed) };
-    spec.validate().map_err(|e| format!("invalid learn spec: {e}"))?;
-    let telemetry = Telemetry::discard();
-    let exec = Executor::new(ExecutorConfig {
-        threads: args.threads,
-        store_dir: args.store.as_ref().map(std::path::PathBuf::from),
-        resume: args.resume,
-        telemetry: telemetry.clone(),
-        ..ExecutorConfig::default()
-    })
-    .map_err(|e| format!("open store: {e}"))?;
-
-    let started = std::time::Instant::now();
-    let outcome = run_learn_with(&spec, &exec, &telemetry);
-    let elapsed = started.elapsed();
-
-    if let Some(store) = exec.store() {
-        store
-            .put(KIND_LEARN_REPORT, spec.digest(), &outcome)
-            .map_err(|e| format!("store learn report: {e}"))?;
-    }
-    if let Some(path) = &args.out {
-        let json = serde_json::to_vec_pretty(&outcome)
-            .map_err(|e| format!("serialise learn outcome: {e}"))?;
-        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    }
-
-    let mut out = reporter::render_learn(&outcome);
-    let metrics = telemetry.metrics();
-    let _ = writeln!(
-        out,
-        "memo: {} hits / {} misses in-process, {} store cache hits",
-        metrics.counter("learn.memo.hit"),
-        metrics.counter("learn.memo.miss"),
-        metrics.counter("runner.cache-hit"),
-    );
-    let _ = writeln!(out, "wall clock: {:.2} s", elapsed.as_secs_f64());
-    if exec.store().is_some() {
-        let _ = writeln!(out, "report artifact: learn-report/{}", spec.digest());
+        let _ = writeln!(out, "report artifact: {}/{}", C::REPORT_KIND, spec.digest());
     }
     if let Some(path) = &args.out {
         let _ = writeln!(out, "outcome written to {path} (render with `coolair report {path}`)");
@@ -870,144 +861,66 @@ pub fn parse_sites(value: &str) -> Result<Vec<Location>, CliError> {
     Ok(sites)
 }
 
-/// Arguments of `coolair fleet`.
-#[derive(Debug, Clone)]
-pub struct FleetArgs {
-    /// Placement seed.
-    pub seed: u64,
-    /// Use the tiny CI smoke spec instead of the shipped campaign.
-    pub smoke: bool,
-    /// Override the spec's container count.
-    pub containers: Option<usize>,
-    /// Override the spec's sites (see [`parse_sites`]).
-    pub sites: Option<String>,
-    /// Override the spec's decision-epoch count.
-    pub epochs: Option<usize>,
-    /// Worker threads (0 → available parallelism).
-    pub threads: usize,
-    /// Store directory for lane evaluations and the report artifact;
-    /// `None` runs in memory (no caching, no resume).
-    pub store: Option<String>,
-    /// Replay the store's journal instead of starting a fresh one.
-    pub resume: bool,
-    /// Warm-up mode: run only lane jobs `k/n` of the campaign's job set
-    /// into the store, skip the report (another shard or the final
-    /// unsharded run aggregates from cache).
-    pub shard: Option<(usize, usize)>,
-    /// Write the full [`FleetOutcome`] to this path as pretty JSON
-    /// (renderable later with `coolair report`).
-    pub out: Option<String>,
-}
-
-impl Default for FleetArgs {
-    fn default() -> Self {
-        FleetArgs {
-            seed: 7,
-            smoke: false,
-            containers: None,
-            sites: None,
-            epochs: None,
-            threads: 0,
-            store: None,
-            resume: false,
-            shard: None,
-            out: None,
-        }
-    }
-}
-
-/// `coolair fleet` — the geo-distributed campus campaign: batched lane
-/// stepping plus follow-the-cold migration, priced against independent
-/// containers. Resumable via `--store`/`--resume`; `--shard k/n` warms a
-/// slice of the lane-job set into the store and exits.
+/// `coolair fleet --shard k/n` — warm-up mode: prices lane jobs `k/n` of
+/// the campaign's job set into the store and skips the report (another
+/// shard, or the final unsharded run, aggregates from the cache).
 ///
 /// # Errors
 ///
-/// Propagates spec validation and store/output I/O errors.
-pub fn cmd_fleet(args: &FleetArgs) -> Result<String, CliError> {
-    let mut spec =
-        if args.smoke { FleetSpec::smoke(args.seed) } else { FleetSpec::shipped(args.seed) };
-    if let Some(containers) = args.containers {
-        spec.containers = containers;
-    }
-    if let Some(sites) = &args.sites {
-        spec.sites = parse_sites(sites)?;
-    }
-    if let Some(epochs) = args.epochs {
-        spec.epochs = epochs;
+/// A missing store, an invalid spec, a failed lane evaluation, and store
+/// I/O errors.
+pub fn cmd_fleet_shard(
+    spec: &FleetSpec,
+    args: &CampaignArgs,
+    (k, n): (usize, usize),
+) -> Result<String, CliError> {
+    if args.store.is_none() {
+        return Err("--shard needs --store (shards only exist to warm a store)".to_string());
     }
     spec.validate().map_err(|e| format!("invalid fleet spec: {e}"))?;
-
-    let telemetry = Telemetry::discard();
-    let exec = Executor::new(ExecutorConfig {
-        threads: args.threads,
-        store_dir: args.store.as_ref().map(std::path::PathBuf::from),
-        resume: args.resume,
-        telemetry: telemetry.clone(),
-        ..ExecutorConfig::default()
-    })
-    .map_err(|e| format!("open store: {e}"))?;
-
+    let exec =
+        open_executor(args.threads, args.store.as_ref(), args.resume, &Telemetry::discard())?;
     let started = std::time::Instant::now();
-    if let Some((k, n)) = args.shard {
-        // Warm-up shard: price a deterministic slice of the campaign's
-        // lane-job set into the store, no aggregation.
-        if args.store.is_none() {
-            return Err("--shard needs --store (shards only exist to warm a store)".to_string());
+    let all = fleet_lane_jobs(spec);
+    let mine: Vec<_> =
+        all.iter().enumerate().filter(|(i, _)| i % n == k - 1).map(|(_, j)| j.clone()).collect();
+    for result in exec.run(&mine) {
+        if let coolair_runner::JobResult::Failed { error, .. } = result {
+            return Err(format!("lane evaluation failed: {error}"));
         }
-        let all = fleet_lane_jobs(&spec);
-        let mine: Vec<_> = all
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % n == k - 1)
-            .map(|(_, j)| j.clone())
-            .collect();
-        for result in exec.run(&mine) {
-            if let coolair_runner::JobResult::Failed { error, .. } = result {
-                return Err(format!("lane evaluation failed: {error}"));
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "fleet shard {k}/{n}: warmed {} of {} lane jobs (spec {})",
-            mine.len(),
-            all.len(),
-            spec.digest()
-        );
-        out.push_str(&reporter::render_progress(&exec.progress()));
-        let _ = writeln!(out, "wall clock: {:.2} s", started.elapsed().as_secs_f64());
-        return Ok(out);
     }
-
-    let outcome = run_fleet_with(&spec, &exec, &telemetry);
-    let elapsed = started.elapsed();
-
-    if let Some(store) = exec.store() {
-        store
-            .put(KIND_FLEET_REPORT, spec.digest(), &outcome)
-            .map_err(|e| format!("store fleet report: {e}"))?;
-    }
-    if let Some(path) = &args.out {
-        let json = serde_json::to_vec_pretty(&outcome)
-            .map_err(|e| format!("serialise fleet outcome: {e}"))?;
-        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    }
-
-    let mut out = reporter::render_fleet(&outcome);
+    let mut out = String::new();
     let _ = writeln!(
         out,
-        "store cache hits: {}",
-        telemetry.metrics().counter("runner.cache-hit"),
+        "fleet shard {k}/{n}: warmed {} of {} lane jobs (spec {})",
+        mine.len(),
+        all.len(),
+        spec.digest()
     );
-    let _ = writeln!(out, "wall clock: {:.2} s", elapsed.as_secs_f64());
-    if exec.store().is_some() {
-        let _ = writeln!(out, "report artifact: fleet-report/{}", spec.digest());
-    }
-    if let Some(path) = &args.out {
-        let _ = writeln!(out, "outcome written to {path} (render with `coolair report {path}`)");
-    }
+    out.push_str(&reporter::render_progress(&exec.progress()));
+    let _ = writeln!(out, "wall clock: {:.2} s", started.elapsed().as_secs_f64());
     Ok(out)
+}
+
+/// Parses a campaign subcommand's flags and runs it.
+fn campaign_command<C: CliCampaign>(args: &[String]) -> Result<String, CliError> {
+    let flags = parse_flags_with_switches(args, &["resume", "smoke"])?;
+    let seed = flag(&flags, "seed")?.unwrap_or(DEFAULT_CAMPAIGN_SEED);
+    let spec = C::from_flags(seed, flags.contains_key("smoke"), &flags)?;
+    spec.command(&CampaignArgs::from_flags(&flags)?, &flags)
+}
+
+/// Renders `text` if it is a saved outcome of campaign kind `C`.
+fn render_outcome<C: CliCampaign>(text: &str) -> Option<String> {
+    serde_json::from_str::<C::Outcome>(text).ok().map(|outcome| C::render(&outcome))
+}
+
+/// `coolair <campaign> [flags]` for the registered campaign kind called
+/// `name` (see [`cmd_campaign`]); `None` when no kind has that name.
+#[must_use]
+pub fn cmd_campaign_named(name: &str, args: &[String]) -> Option<Result<String, CliError>> {
+    let kinds = coolair_serve::campaign_registry!(cli_kind);
+    kinds.into_iter().find(|kind| kind.name == name).map(|kind| (kind.command)(args))
 }
 
 /// Usage text.
@@ -1045,13 +958,28 @@ LOCATIONS: newark, chad, santiago, iceland, singapore
     .to_string()
 }
 
+/// Parsed `--flag value` pairs (valueless switches map to `"true"`).
+pub type Flags = std::collections::HashMap<String, String>;
+
 /// Extracts `--flag value` pairs from an argument list.
 ///
 /// # Errors
 ///
 /// Returns an error for flags without values or unknown positionals.
-pub fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, String>, CliError> {
+pub fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     parse_flags_with_switches(args, &[])
+}
+
+/// Parses the value of `--name`, if given.
+///
+/// # Errors
+///
+/// A value that does not parse as `T`.
+pub fn flag<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    flags.get(name).map(|v| v.parse().map_err(|e| format!("--{name}: {e}"))).transpose()
 }
 
 /// Extracts `--flag value` pairs plus valueless `--switch` flags (stored
@@ -1061,11 +989,8 @@ pub fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, 
 ///
 /// Returns an error for non-switch flags without values or unknown
 /// positionals.
-pub fn parse_flags_with_switches(
-    args: &[String],
-    switches: &[&str],
-) -> Result<std::collections::HashMap<String, String>, CliError> {
-    let mut flags = std::collections::HashMap::new();
+pub fn parse_flags_with_switches(args: &[String], switches: &[&str]) -> Result<Flags, CliError> {
+    let mut flags = Flags::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -1167,14 +1092,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out_path = dir.join("tune-outcome.json");
-        let out = cmd_tune(&TuneArgs {
-            smoke: true,
-            seed: 3,
-            threads: 2,
-            store: Some(dir.join("store").to_string_lossy().into_owned()),
-            out: Some(out_path.to_string_lossy().into_owned()),
-            ..TuneArgs::default()
-        })
+        let out = cmd_campaign(
+            &TuneSpec::smoke(3),
+            &CampaignArgs {
+                threads: 2,
+                store: Some(dir.join("store").to_string_lossy().into_owned()),
+                out: Some(out_path.to_string_lossy().into_owned()),
+                ..CampaignArgs::default()
+            },
+        )
         .unwrap();
         assert!(out.contains("robust tune (seed 3"), "got: {out}");
         assert!(out.contains("worst-case violation"), "got: {out}");
@@ -1195,14 +1121,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out_path = dir.join("fleet-outcome.json");
-        let out = cmd_fleet(&FleetArgs {
-            smoke: true,
-            seed: 11,
-            threads: 2,
-            store: Some(dir.join("store").to_string_lossy().into_owned()),
-            out: Some(out_path.to_string_lossy().into_owned()),
-            ..FleetArgs::default()
-        })
+        let out = cmd_campaign(
+            &FleetSpec::smoke(11),
+            &CampaignArgs {
+                threads: 2,
+                store: Some(dir.join("store").to_string_lossy().into_owned()),
+                out: Some(out_path.to_string_lossy().into_owned()),
+                ..CampaignArgs::default()
+            },
+        )
         .unwrap();
         assert!(out.contains("fleet campaign (seed 11"), "got: {out}");
         assert!(out.contains("decision epochs"), "got: {out}");
@@ -1224,14 +1151,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out_path = dir.join("learn-outcome.json");
-        let out = cmd_learn(&LearnArgs {
-            smoke: true,
-            seed: 5,
-            threads: 2,
-            store: Some(dir.join("store").to_string_lossy().into_owned()),
-            out: Some(out_path.to_string_lossy().into_owned()),
-            ..LearnArgs::default()
-        })
+        let out = cmd_campaign(
+            &LearnSpec::smoke(5),
+            &CampaignArgs {
+                threads: 2,
+                store: Some(dir.join("store").to_string_lossy().into_owned()),
+                out: Some(out_path.to_string_lossy().into_owned()),
+                ..CampaignArgs::default()
+            },
+        )
         .unwrap();
         assert!(out.contains("learn benchmark (seed 5"), "got: {out}");
         assert!(out.contains("training curve"), "got: {out}");
@@ -1253,20 +1181,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let store = dir.join("store").to_string_lossy().into_owned();
-        let base = FleetArgs {
-            smoke: true,
-            seed: 11,
-            threads: 2,
-            store: Some(store),
-            ..FleetArgs::default()
-        };
+        let spec = FleetSpec::smoke(11);
+        let base = CampaignArgs { threads: 2, store: Some(store), ..CampaignArgs::default() };
         // Two shards cover the whole lane-job set between them.
         for k in 1..=2 {
-            let out = cmd_fleet(&FleetArgs { shard: Some((k, 2)), ..base.clone() }).unwrap();
+            let out = cmd_fleet_shard(&spec, &base, (k, 2)).unwrap();
             assert!(out.contains(&format!("fleet shard {k}/2: warmed")), "got: {out}");
         }
         // The aggregating run finds every lane in the store.
-        let out = cmd_fleet(&base).unwrap();
+        let out = cmd_campaign(&spec, &base).unwrap();
         let hits: u64 = out
             .lines()
             .find_map(|l| l.strip_prefix("store cache hits: "))
@@ -1275,10 +1198,29 @@ mod tests {
         assert!(hits > 0, "aggregation should hit the warmed store: {out}");
 
         // Shards refuse to run without a store to warm.
-        let err =
-            cmd_fleet(&FleetArgs { shard: Some((1, 2)), store: None, ..base.clone() }).unwrap_err();
+        let err = cmd_fleet_shard(&spec, &CampaignArgs { store: None, ..base.clone() }, (1, 2))
+            .unwrap_err();
         assert!(err.contains("--shard needs --store"), "got: {err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn campaign_subcommands_come_from_the_registry() {
+        let args = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        assert!(cmd_campaign_named("sweep", &[]).is_none(), "not a campaign kind");
+        for name in ["tune", "fleet", "learn"] {
+            let err =
+                cmd_campaign_named(name, &args(&["--seed", "x"])).expect("registered").unwrap_err();
+            assert!(err.starts_with("--seed:"), "{name}: {err}");
+        }
+        let err = cmd_campaign_named("fleet", &args(&["--smoke", "--shard", "3/2"]))
+            .expect("registered")
+            .unwrap_err();
+        assert!(err.contains("--shard wants k/n"), "got: {err}");
+        let err = cmd_campaign_named("fleet", &args(&["--smoke", "--containers", "0"]))
+            .expect("registered")
+            .unwrap_err();
+        assert!(err.starts_with("invalid fleet spec: containers"), "got: {err}");
     }
 
     #[test]

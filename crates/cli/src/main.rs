@@ -3,10 +3,9 @@
 use std::process::ExitCode;
 
 use coolair_cli::{
-    cmd_annual, cmd_compare, cmd_faults, cmd_fleet, cmd_learn, cmd_locations, cmd_report, cmd_run,
-    cmd_serve, cmd_sweep, cmd_train, cmd_tune, cmd_validate, parse_flags,
-    parse_flags_with_switches, parse_shard, usage, FleetArgs, LearnArgs, ServeArgs, SweepArgs,
-    TuneArgs,
+    cmd_annual, cmd_campaign_named, cmd_compare, cmd_faults, cmd_locations, cmd_report, cmd_run,
+    cmd_serve, cmd_sweep, cmd_train, cmd_validate, flag, parse_flags, parse_flags_with_switches,
+    parse_shard, usage, ServeArgs, SweepArgs,
 };
 
 fn main() -> ExitCode {
@@ -21,9 +20,7 @@ fn main() -> ExitCode {
         "locations" => Ok(cmd_locations()),
         "train" => parse_flags(rest).and_then(|f| {
             let location = f.get("location").cloned().unwrap_or_else(|| "newark".into());
-            let days = f.get("days").map_or(Ok(45), |d| {
-                d.parse::<u64>().map_err(|e| format!("--days: {e}"))
-            })?;
+            let days = flag::<u64>(&f, "days")?.unwrap_or(45);
             let out = f.get("out").cloned().unwrap_or_else(|| "model.json".into());
             cmd_train(&location, days, &out)
         }),
@@ -31,9 +28,7 @@ fn main() -> ExitCode {
             let location = f.get("location").cloned().unwrap_or_else(|| "newark".into());
             let system = f.get("system").cloned().unwrap_or_else(|| "allnd".into());
             let trace = f.get("trace").cloned().unwrap_or_else(|| "facebook".into());
-            let stride = f.get("stride").map_or(Ok(7), |s| {
-                s.parse::<u64>().map_err(|e| format!("--stride: {e}"))
-            })?;
+            let stride = flag::<u64>(&f, "stride")?.unwrap_or(7);
             cmd_annual(&location, &system, &trace, stride, f.get("model").map(String::as_str))
         }),
         "validate" => parse_flags(rest).and_then(|f| {
@@ -42,133 +37,43 @@ fn main() -> ExitCode {
         }),
         "compare" => parse_flags(rest).and_then(|f| {
             let location = f.get("location").cloned().unwrap_or_else(|| "newark".into());
-            let stride = f.get("stride").map_or(Ok(14), |s| {
-                s.parse::<u64>().map_err(|e| format!("--stride: {e}"))
-            })?;
+            let stride = flag::<u64>(&f, "stride")?.unwrap_or(14);
             cmd_compare(&location, stride)
         }),
         "sweep" => parse_flags_with_switches(rest, &["resume"]).and_then(|f| {
             let mut a = SweepArgs::default();
-            if let Some(v) = f.get("locations") {
-                a.locations = v.parse().map_err(|e| format!("--locations: {e}"))?;
-            }
-            if let Some(v) = f.get("stride") {
-                a.stride = v.parse().map_err(|e| format!("--stride: {e}"))?;
-            }
-            if let Some(v) = f.get("training-days") {
-                a.training_days = v.parse().map_err(|e| format!("--training-days: {e}"))?;
-            }
-            if let Some(v) = f.get("threads") {
-                a.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
+            a.locations = flag(&f, "locations")?.unwrap_or(a.locations);
+            a.stride = flag(&f, "stride")?.unwrap_or(a.stride);
+            a.training_days = flag(&f, "training-days")?.unwrap_or(a.training_days);
+            a.threads = flag(&f, "threads")?.unwrap_or(a.threads);
             a.store = f.get("store").cloned();
             a.resume = f.contains_key("resume");
             a.shard = f.get("shard").map(|v| parse_shard(v)).transpose()?;
             a.out = f.get("out").cloned();
             cmd_sweep(&a)
         }),
-        "tune" => parse_flags_with_switches(rest, &["resume", "smoke"]).and_then(|f| {
-            let mut a = TuneArgs::default();
-            if let Some(v) = f.get("seed") {
-                a.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            a.smoke = f.contains_key("smoke");
-            a.rounds = f
-                .get("rounds")
-                .map(|v| v.parse().map_err(|e| format!("--rounds: {e}")))
-                .transpose()?;
-            a.iters = f
-                .get("iters")
-                .map(|v| v.parse().map_err(|e| format!("--iters: {e}")))
-                .transpose()?;
-            if let Some(v) = f.get("threads") {
-                a.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            a.store = f.get("store").cloned();
-            a.resume = f.contains_key("resume");
-            a.out = f.get("out").cloned();
-            cmd_tune(&a)
-        }),
-        "fleet" => parse_flags_with_switches(rest, &["resume", "smoke"]).and_then(|f| {
-            let mut a = FleetArgs::default();
-            if let Some(v) = f.get("seed") {
-                a.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            a.smoke = f.contains_key("smoke");
-            a.containers = f
-                .get("containers")
-                .map(|v| v.parse().map_err(|e| format!("--containers: {e}")))
-                .transpose()?;
-            a.sites = f.get("sites").cloned();
-            a.epochs = f
-                .get("epochs")
-                .map(|v| v.parse().map_err(|e| format!("--epochs: {e}")))
-                .transpose()?;
-            if let Some(v) = f.get("threads") {
-                a.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            a.store = f.get("store").cloned();
-            a.resume = f.contains_key("resume");
-            a.shard = f.get("shard").map(|v| parse_shard(v)).transpose()?;
-            a.out = f.get("out").cloned();
-            cmd_fleet(&a)
-        }),
-        "learn" => parse_flags_with_switches(rest, &["resume", "smoke"]).and_then(|f| {
-            let mut a = LearnArgs::default();
-            if let Some(v) = f.get("seed") {
-                a.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            a.smoke = f.contains_key("smoke");
-            if let Some(v) = f.get("threads") {
-                a.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            a.store = f.get("store").cloned();
-            a.resume = f.contains_key("resume");
-            a.out = f.get("out").cloned();
-            cmd_learn(&a)
-        }),
         "faults" => parse_flags(rest).and_then(|f| {
             let location = f.get("location").cloned().unwrap_or_else(|| "newark".into());
-            let seed = f.get("seed").map_or(Ok(4242), |s| {
-                s.parse::<u64>().map_err(|e| format!("--seed: {e}"))
-            })?;
-            let severity = f.get("severity").map_or(Ok(1.0), |s| {
-                s.parse::<f64>().map_err(|e| format!("--severity: {e}"))
-            })?;
-            let stride = f.get("stride").map_or(Ok(30), |s| {
-                s.parse::<u64>().map_err(|e| format!("--stride: {e}"))
-            })?;
+            let seed = flag::<u64>(&f, "seed")?.unwrap_or(4242);
+            let severity = flag::<f64>(&f, "severity")?.unwrap_or(1.0);
+            let stride = flag::<u64>(&f, "stride")?.unwrap_or(30);
             cmd_faults(&location, seed, severity, stride)
         }),
         "run" => parse_flags(rest).and_then(|f| {
             let location = f.get("location").cloned().unwrap_or_else(|| "newark".into());
             let system = f.get("system").cloned().unwrap_or_else(|| "baseline".into());
             let trace_kind = f.get("trace-kind").cloned().unwrap_or_else(|| "facebook".into());
-            let day = f.get("day").map_or(Ok(150), |d| {
-                d.parse::<u64>().map_err(|e| format!("--day: {e}"))
-            })?;
-            let days = f.get("days").map_or(Ok(1), |d| {
-                d.parse::<u64>().map_err(|e| format!("--days: {e}"))
-            })?;
+            let day = flag::<u64>(&f, "day")?.unwrap_or(150);
+            let days = flag::<u64>(&f, "days")?.unwrap_or(1);
             cmd_run(&location, &system, &trace_kind, day, days, f.get("trace").map(String::as_str))
         }),
         "serve" => parse_flags(rest).and_then(|f| {
             let mut a = ServeArgs::default();
-            if let Some(v) = f.get("addr") {
-                a.addr = v.clone();
-            }
-            if let Some(v) = f.get("threads") {
-                a.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            if let Some(v) = f.get("queue-depth") {
-                a.queue_depth = v.parse().map_err(|e| format!("--queue-depth: {e}"))?;
-            }
-            if let Some(v) = f.get("max-connections") {
-                a.max_connections = v.parse().map_err(|e| format!("--max-connections: {e}"))?;
-            }
-            if let Some(v) = f.get("event-loops") {
-                a.event_loops = v.parse().map_err(|e| format!("--event-loops: {e}"))?;
-            }
+            a.addr = f.get("addr").cloned().unwrap_or(a.addr);
+            a.threads = flag(&f, "threads")?.unwrap_or(a.threads);
+            a.queue_depth = flag(&f, "queue-depth")?.unwrap_or(a.queue_depth);
+            a.max_connections = flag(&f, "max-connections")?.unwrap_or(a.max_connections);
+            a.event_loops = flag(&f, "event-loops")?.unwrap_or(a.event_loops);
             a.store = f.get("store").cloned();
             cmd_serve(&a)
         }),
@@ -185,7 +90,9 @@ fn main() -> ExitCode {
             _ => Err("usage: coolair report <trace.jsonl>".to_string()),
         },
         "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown command '{other}'\n\n{}", usage())),
+        // tune, fleet, learn, ...: every registered campaign kind.
+        other => cmd_campaign_named(other, rest)
+            .unwrap_or_else(|| Err(format!("unknown command '{other}'\n\n{}", usage()))),
     };
 
     match result {

@@ -20,7 +20,8 @@
 //! Everything the manager decides is a pure function of the
 //! [`FleetSpec`] (forecast in, placement out — no evaluation feedback),
 //! so campaigns shard across machines and resume byte-identically from
-//! the content-addressed store.
+//! the content-addressed store. [`FleetSpec`] is a
+//! [`coolair_runner::Campaign`] named `fleet`.
 //!
 //! # Example: a smoke-sized campaign
 //!
@@ -43,7 +44,6 @@
 
 mod jobs;
 mod manager;
-mod rng;
 mod run;
 mod spec;
 mod state;

@@ -7,11 +7,14 @@
 //! `TuneSpec`.
 
 use coolair::Version;
-use coolair_runner::{stable_digest, Digest};
+use coolair_runner::{stable_digest, Campaign, Digest, Executor};
 use coolair_sim::{AnnualConfig, SystemSpec};
+use coolair_telemetry::Telemetry;
 use coolair_weather::Location;
 use coolair_workload::TraceKind;
 use serde::{Deserialize, Serialize};
+
+use crate::run::{run_fleet_with, FleetOutcome};
 
 /// Artifact namespace of fleet campaign reports.
 pub const KIND_FLEET_REPORT: &str = "fleet-report";
@@ -196,6 +199,24 @@ impl FleetSpec {
         } else {
             Err(problems.join("; "))
         }
+    }
+}
+
+impl Campaign for FleetSpec {
+    const NAME: &'static str = "fleet";
+    const REPORT_KIND: &'static str = KIND_FLEET_REPORT;
+    type Outcome = FleetOutcome;
+
+    fn validate(&self) -> Result<(), String> {
+        FleetSpec::validate(self)
+    }
+
+    fn label(&self) -> String {
+        format!("fleet campaign ({} containers, seed {})", self.containers, self.seed)
+    }
+
+    fn run(&self, exec: &Executor, telemetry: &Telemetry) -> FleetOutcome {
+        run_fleet_with(self, exec, telemetry)
     }
 }
 

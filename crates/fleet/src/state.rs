@@ -7,10 +7,10 @@
 //! classes whose members are bit-identical — so a 512-container fleet over
 //! 4 sites costs at most 8 lane evaluations per epoch, not 512.
 
+use coolair_runner::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 use crate::jobs::LaneEval;
-use crate::rng::SplitMix64;
 use crate::spec::FleetSpec;
 
 /// One batch-load migration the global manager committed at an epoch

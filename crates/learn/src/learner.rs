@@ -3,15 +3,14 @@
 //! head-to-head leaderboard against the repo's classical controllers.
 //!
 //! Every rollout is a [`coolair_runner::Job`] keyed by the serialized
-//! `(policy, episode)` task, memoized in-process and in the
-//! content-addressed artifact store — so a killed training run resumed
-//! against the same store replays to a bit-identical outcome (the same
-//! discipline as tune and fleet). All entropy derives from the spec's
-//! master seed; a learn run is a pure function of its [`LearnSpec`].
+//! `(policy, episode)` task, memoized in-process (a
+//! [`coolair_runner::Memo`]) and in the content-addressed artifact store
+//! — so a killed training run resumed against the same store replays to a
+//! bit-identical outcome (the same discipline as tune and fleet). All
+//! entropy derives from the spec's master seed; a learn run is a pure
+//! function of its [`LearnSpec`].
 
-use std::collections::HashMap;
-
-use coolair_runner::{Digest, Executor, Job, JobResult};
+use coolair_runner::{Digest, Executor, Job, Memo};
 use coolair_sim::Reward;
 use coolair_telemetry::{Event, Telemetry};
 use coolair_tune::SplitMix64;
@@ -113,67 +112,32 @@ impl SuiteAgg {
     }
 }
 
-/// The evaluation cache + executor front-end shared by both learners and
+/// The evaluation memo + executor front-end shared by both learners and
 /// the leaderboard.
 struct Harness<'a> {
     exec: &'a Executor,
     telemetry: &'a Telemetry,
-    memo: HashMap<Digest, EvalOutcome>,
-    memo_hits: u64,
-    memo_misses: u64,
+    memo: Memo<EvalOutcome>,
     rollouts: u64,
 }
 
 impl<'a> Harness<'a> {
     fn new(exec: &'a Executor, telemetry: &'a Telemetry) -> Self {
-        Harness {
-            exec,
-            telemetry,
-            memo: HashMap::new(),
-            memo_hits: 0,
-            memo_misses: 0,
-            rollouts: 0,
-        }
+        Harness { exec, telemetry, memo: Memo::new("learn"), rollouts: 0 }
     }
 
     /// Evaluates tasks in order through the two memo layers (in-process
-    /// map, then the executor's artifact store).
+    /// memo, then the executor's artifact store). A batch can repeat a
+    /// task (e.g. two identical candidates); it runs once.
     fn run(&mut self, tasks: Vec<EvalTask>) -> Vec<EvalOutcome> {
-        let mut slots: Vec<Digest> = Vec::with_capacity(tasks.len());
-        let mut jobs: Vec<EvalJob> = Vec::new();
-        let mut hits = 0_u64;
-        for task in tasks {
-            let job = EvalJob { task };
-            let d = job.digest();
-            if self.memo.contains_key(&d) {
-                hits += 1;
-            } else if !jobs.iter().any(|j| j.digest() == d) {
-                // A batch can repeat a task (e.g. two identical candidates);
-                // run it once and fill every slot from the memo afterwards.
-                jobs.push(job);
-            }
-            slots.push(d);
-        }
-        let misses = slots.len() as u64 - hits;
-        self.memo_hits += hits;
-        self.memo_misses += misses;
-        self.telemetry.counter_add("learn.memo.hit", hits);
-        self.telemetry.counter_add("learn.memo.miss", misses);
-        if !jobs.is_empty() {
-            self.rollouts += jobs.len() as u64;
-            self.telemetry.counter_add("learn.rollout.total", jobs.len() as u64);
-            for (job, result) in jobs.iter().zip(self.exec.run(&jobs)) {
-                match result {
-                    JobResult::Computed(o) | JobResult::Cached(o) => {
-                        self.memo.insert(job.digest(), o);
-                    }
-                    JobResult::Failed { error, .. } => {
-                        panic!("learn evaluation failed for {}: {error}", job.label())
-                    }
-                }
-            }
-        }
-        slots.iter().map(|d| self.memo.get(d).expect("filled above").clone()).collect()
+        let jobs: Vec<EvalJob> = tasks.into_iter().map(|task| EvalJob { task }).collect();
+        let digests: Vec<Digest> = jobs.iter().map(Job::digest).collect();
+        let (telemetry, rollouts) = (self.telemetry, &mut self.rollouts);
+        self.memo.get_or_run(self.exec, telemetry, &digests, |slots| {
+            *rollouts += slots.len() as u64;
+            telemetry.counter_add("learn.rollout.total", slots.len() as u64);
+            slots.iter().map(|&i| jobs[i].clone()).collect()
+        })
     }
 
     /// Sums each policy's rollouts over the suite, batching every
@@ -437,8 +401,8 @@ pub fn run_learn_with(spec: &LearnSpec, exec: &Executor, telemetry: &Telemetry) 
         best_learned,
         policy,
         rollouts: harness.rollouts,
-        memo_hits: harness.memo_hits,
-        memo_misses: harness.memo_misses,
+        memo_hits: harness.memo.hits(),
+        memo_misses: harness.memo.misses(),
     }
 }
 

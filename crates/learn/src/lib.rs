@@ -24,7 +24,8 @@
 //! replays byte-identically, exactly like `coolair-tune` and
 //! `coolair-fleet`. The final [`LearnOutcome`] pits the learned policies
 //! against the random-policy floor, the TKS baseline, CoolAir-M5P, and
-//! the degraded-mode supervisor on the same episode suite.
+//! the degraded-mode supervisor on the same episode suite. [`LearnSpec`]
+//! is a [`coolair_runner::Campaign`] named `learn`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,11 +1,14 @@
 //! The learn job spec: training budgets, the episode suite, and seeds —
 //! everything that determines a learn run, serialized and digested.
 
-use coolair_runner::{stable_digest, Digest};
+use coolair_runner::{stable_digest, Campaign, Digest, Executor};
 use coolair_sim::{AnnualConfig, EpisodeSpec, FaultSpec, Scenario};
+use coolair_telemetry::Telemetry;
 use coolair_units::SimDuration;
 use coolair_weather::Location;
 use serde::{Deserialize, Serialize};
+
+use crate::learner::{run_learn_with, LearnOutcome};
 
 /// Artifact namespace of learn reports.
 pub const KIND_LEARN_REPORT: &str = "learn-report";
@@ -223,6 +226,24 @@ impl LearnSpec {
         } else {
             Err(problems.join("; "))
         }
+    }
+}
+
+impl Campaign for LearnSpec {
+    const NAME: &'static str = "learn";
+    const REPORT_KIND: &'static str = KIND_LEARN_REPORT;
+    type Outcome = LearnOutcome;
+
+    fn validate(&self) -> Result<(), String> {
+        LearnSpec::validate(self)
+    }
+
+    fn label(&self) -> String {
+        format!("learn benchmark (seed {})", self.seed)
+    }
+
+    fn run(&self, exec: &Executor, telemetry: &Telemetry) -> LearnOutcome {
+        run_learn_with(self, exec, telemetry)
     }
 }
 

@@ -25,10 +25,17 @@
 //!   `coolair-telemetry` event bus ([`coolair_telemetry::Event::JobState`])
 //!   and metrics registry.
 //!
+//! * **the campaign spine** — a [`Campaign`] is a whole experiment (a
+//!   robust tune, a fleet campaign, a learn benchmark) that issues job
+//!   batches and folds them into one report artifact; [`run_campaign`]
+//!   runs any of them with panics fenced and the report stored, and
+//!   [`Memo`] is their shared in-process evaluation memo.
+//!
 //! The crate is deliberately simulation-agnostic: it depends only on the
 //! telemetry bus. `coolair-sim` defines the concrete job types (training
-//! campaigns, annual runs, sweep shards) and `coolair-cli` drives them via
-//! `coolair sweep --store <dir> --resume`.
+//! campaigns, annual runs, sweep shards), the campaign crates implement
+//! [`Campaign`], and `coolair-cli` drives them via
+//! `coolair sweep --store <dir> --resume` and the campaign subcommands.
 //!
 //! # Example
 //!
@@ -53,6 +60,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod campaign;
 mod executor;
 mod hash;
 mod job;
@@ -60,9 +68,10 @@ mod journal;
 mod pool;
 mod store;
 
+pub use campaign::{run_campaign, Campaign, Memo};
 pub use coolair_telemetry::Telemetry;
 pub use executor::{Executor, ExecutorConfig, ProgressSnapshot};
-pub use hash::{fnv1a, stable_digest, Digest};
+pub use hash::{fnv1a, stable_digest, Digest, SplitMix64};
 pub use job::{panic_message, Job, JobResult};
 pub use journal::{replay, Journal, JournalEntry, JournalStatus};
 pub use pool::{run_stealing, worker_threads, DEFAULT_THREADS};

@@ -8,12 +8,9 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use coolair_fleet::{FleetSpec, KIND_FLEET_REPORT};
-use coolair_learn::{LearnSpec, KIND_LEARN_REPORT};
-use coolair_runner::{ArtifactError, Digest};
-use coolair_sim::jobs::AnnualJob;
+use coolair_runner::{ArtifactError, Campaign, Digest};
+use coolair_sim::jobs::{AnnualJob, KIND_ANNUAL_SUMMARY};
 use coolair_sim::{Action, Episode, EpisodeSpec};
-use coolair_tune::{TuneSpec, KIND_TUNE_REPORT};
 use serde::{Deserialize, Serialize as _, Value};
 
 use crate::http::{path_segments, Request, Response};
@@ -181,6 +178,13 @@ enum StoreLookup {
     Unreadable(String),
 }
 
+/// A registered campaign's report kind, for [`crate::campaign_registry`].
+macro_rules! report_kind {
+    ($spec:ty) => {
+        <$spec as Campaign>::REPORT_KIND
+    };
+}
+
 /// Searches every job-report kind for a persisted summary of `id`.
 fn store_lookup(state: &AppState, id: &str) -> StoreLookup {
     let Ok(digest) = Digest::from_str(id) else {
@@ -190,12 +194,8 @@ fn store_lookup(state: &AppState, id: &str) -> StoreLookup {
         return StoreLookup::Missing;
     };
     // A digest names exactly one spec, so at most one kind can hit.
-    for kind in [
-        coolair_sim::jobs::KIND_ANNUAL_SUMMARY,
-        KIND_TUNE_REPORT,
-        KIND_FLEET_REPORT,
-        KIND_LEARN_REPORT,
-    ] {
+    let campaigns = crate::campaign_registry!(report_kind);
+    for kind in std::iter::once(KIND_ANNUAL_SUMMARY).chain(campaigns) {
         match store.try_get::<Value>(kind, digest) {
             Ok(result) => return StoreLookup::Hit(result),
             Err(ArtifactError::NotFound) => {}
@@ -263,31 +263,38 @@ fn job_events(state: &AppState, id: &str) -> Reply {
     }
 }
 
+/// Parses and validates one registered campaign kind's wrapped spec.
+fn parse_campaign<C: Campaign>(spec: &Value) -> Result<QueuedJob, String> {
+    let bad = |e: String| format!("bad {} spec: {e}", C::NAME);
+    let spec = C::from_value(spec).map_err(|e| bad(e.to_string()))?;
+    spec.validate().map_err(bad)?;
+    Ok(QueuedJob::Campaign(Box::new(spec)))
+}
+
+/// A registered campaign's `(wrapper key, parser)`, for
+/// [`crate::campaign_registry`].
+macro_rules! campaign_parser {
+    ($spec:ty) => {
+        (
+            <$spec as Campaign>::NAME,
+            parse_campaign::<$spec> as fn(&Value) -> Result<QueuedJob, String>,
+        )
+    };
+}
+
 /// Interprets a submission body. A plain object is an [`AnnualJob`]; an
-/// object wrapped as `{"tune": {...}}` is a robust-tuning [`TuneSpec`],
-/// one wrapped as `{"fleet": {...}}` is a fleet-campaign [`FleetSpec`],
-/// and one wrapped as `{"learn": {...}}` is a learned-control
-/// [`LearnSpec`] (the wrapper key picks the job kind explicitly, so the
-/// spec shapes can evolve without overlapping).
+/// object wrapped as `{"<name>": {...}}` is the spec of the registered
+/// campaign kind called `name` (`tune`, `fleet`, `learn`, ...). The
+/// wrapper key picks the job kind explicitly, so the spec shapes can
+/// evolve without overlapping; an invalid campaign spec is a `400` up
+/// front, never a queued job that fails on a worker.
 fn parse_submission(body: &[u8]) -> Result<QueuedJob, String> {
     let value: Value = serde_json::from_slice(body).map_err(|e| format!("bad job spec: {e}"))?;
     if let Value::Map(pairs) = &value {
-        if let Some((_, tune)) = pairs.iter().find(|(k, _)| k == "tune") {
-            let spec = TuneSpec::from_value(tune).map_err(|e| format!("bad tune spec: {e}"))?;
-            spec.validate().map_err(|e| format!("bad tune spec: {e}"))?;
-            return Ok(QueuedJob::Tune(Box::new(spec)));
-        }
-        if let Some((_, fleet)) = pairs.iter().find(|(k, _)| k == "fleet") {
-            let spec =
-                FleetSpec::from_value(fleet).map_err(|e| format!("bad fleet spec: {e}"))?;
-            spec.validate().map_err(|e| format!("bad fleet spec: {e}"))?;
-            return Ok(QueuedJob::Fleet(Box::new(spec)));
-        }
-        if let Some((_, learn)) = pairs.iter().find(|(k, _)| k == "learn") {
-            let spec =
-                LearnSpec::from_value(learn).map_err(|e| format!("bad learn spec: {e}"))?;
-            spec.validate().map_err(|e| format!("bad learn spec: {e}"))?;
-            return Ok(QueuedJob::Learn(Box::new(spec)));
+        for (name, parse) in crate::campaign_registry!(campaign_parser) {
+            if let Some((_, spec)) = pairs.iter().find(|(k, _)| k == name) {
+                return parse(spec);
+            }
         }
     }
     AnnualJob::from_value(&value)
@@ -475,8 +482,11 @@ mod tests {
     use crate::http::parse_request;
     use crate::jobs::JobQueue;
     use crate::state::ServeConfig;
+    use coolair_fleet::FleetSpec;
+    use coolair_learn::LearnSpec;
     use coolair_runner::Executor;
     use coolair_telemetry::Telemetry;
+    use coolair_tune::TuneSpec;
     use std::sync::mpsc::sync_channel;
 
     fn state_with_cfg(
@@ -581,48 +591,103 @@ mod tests {
         assert_eq!(resp.header("retry-after"), Some("1"));
     }
 
-    #[test]
-    fn tune_submission_is_routed_validated_and_idempotent() {
+    /// Submits `spec` under its kind's wrapper key: routed, tracked under
+    /// `label`, idempotent on resubmission, and `bad` (structurally valid
+    /// but nonsensical) is a 400 up front, never a queued job that panics
+    /// a worker.
+    fn assert_submission_routed<C: Campaign>(spec: C, label: &str, bad: C) {
         let (state, _rx) = state_with_depth(2);
-        let spec = TuneSpec::smoke(5);
-        let body = serde_json::to_vec(&obj(vec![("tune", spec.to_value())])).unwrap();
-        assert_eq!(post_jobs(&state, &body).status(), 202);
-        let record = state.tracker.get(&spec.digest().to_string()).expect("tracked");
-        assert_eq!(record.label, "robust tune (seed 5)");
+        let wrap = |spec: &C| serde_json::to_vec(&obj(vec![(C::NAME, spec.to_value())])).unwrap();
+        assert_eq!(post_jobs(&state, &wrap(&spec)).status(), 202, "{}", C::NAME);
+        let record = state.tracker.get(&Campaign::digest(&spec).to_string()).expect("tracked");
+        assert_eq!(record.label, label);
         assert_eq!(record.state, JobState::Queued);
         // Same spec again: answered from the tracker, not re-queued.
-        assert_eq!(post_jobs(&state, &body).status(), 200);
-        // A structurally valid but nonsensical tune budget is a 400 up
-        // front, never a queued job that panics a worker.
-        let mut bad = TuneSpec::smoke(5);
-        bad.rounds = 0;
-        let bad_body = serde_json::to_vec(&obj(vec![("tune", bad.to_value())])).unwrap();
-        let reply = post_jobs(&state, &bad_body);
-        assert_eq!(reply.status(), 400);
-        let Reply::Full(resp) = reply else { panic!() };
-        assert!(String::from_utf8_lossy(&resp.body).contains("bad tune spec"));
+        assert_eq!(post_jobs(&state, &wrap(&spec)).status(), 200, "{}", C::NAME);
+        let reply = post_jobs(&state, &wrap(&bad));
+        assert_eq!(reply.status(), 400, "{}", C::NAME);
+        let body = String::from_utf8(body_of(reply)).unwrap();
+        assert!(body.contains(&format!("bad {} spec", C::NAME)), "{body}");
+    }
+
+    macro_rules! name {
+        ($spec:ty) => {
+            <$spec as Campaign>::NAME
+        };
     }
 
     #[test]
-    fn fleet_submission_is_routed_validated_and_idempotent() {
-        let (state, _rx) = state_with_depth(2);
-        let spec = FleetSpec::smoke(5);
-        let body = serde_json::to_vec(&obj(vec![("fleet", spec.to_value())])).unwrap();
-        assert_eq!(post_jobs(&state, &body).status(), 202);
-        let record = state.tracker.get(&spec.digest().to_string()).expect("tracked");
-        assert_eq!(record.label, "fleet campaign (4 containers, seed 5)");
-        assert_eq!(record.state, JobState::Queued);
-        // Same spec again: answered from the tracker, not re-queued.
-        assert_eq!(post_jobs(&state, &body).status(), 200);
-        // An invalid fleet spec is a 400 up front, never a queued job
-        // that panics a worker.
+    fn every_campaign_submission_is_routed_validated_and_idempotent() {
+        // Every registered kind is covered below.
+        assert_eq!(crate::campaign_registry!(name), ["tune", "fleet", "learn"]);
+        let mut bad = TuneSpec::smoke(5);
+        bad.rounds = 0;
+        assert_submission_routed(TuneSpec::smoke(5), "robust tune (seed 5)", bad);
         let mut bad = FleetSpec::smoke(5);
         bad.containers = 0;
-        let bad_body = serde_json::to_vec(&obj(vec![("fleet", bad.to_value())])).unwrap();
-        let reply = post_jobs(&state, &bad_body);
-        assert_eq!(reply.status(), 400);
-        let Reply::Full(resp) = reply else { panic!() };
-        assert!(String::from_utf8_lossy(&resp.body).contains("bad fleet spec"));
+        assert_submission_routed(FleetSpec::smoke(5), "fleet campaign (4 containers, seed 5)", bad);
+        let mut bad = LearnSpec::smoke(5);
+        bad.cem.elites = 0;
+        assert_submission_routed(LearnSpec::smoke(5), "learn benchmark (seed 5)", bad);
+    }
+
+    /// A report artifact a previous daemon left in the store answers
+    /// `GET /jobs/{id}` (done, result equal to the artifact) and its event
+    /// stream, whose one event is the polled record; a corrupt one answers
+    /// 500 on both.
+    fn assert_store_fallback<C: Campaign>() {
+        let dir = std::env::temp_dir().join("coolair_serve_store_fallback").join(C::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+        let executor = Executor::new(coolair_runner::ExecutorConfig {
+            threads: 1,
+            store_dir: Some(dir.clone()),
+            ..coolair_runner::ExecutorConfig::default()
+        })
+        .unwrap();
+        let (tx, _rx) = sync_channel(1);
+        let state = AppState::new(
+            ServeConfig::default(),
+            executor,
+            Telemetry::discard(),
+            JobQueue::new(tx),
+        );
+        let store = state.executor.store().unwrap();
+        let artifact = obj(vec![("kind", s(C::REPORT_KIND)), ("seed", Value::UInt(7))]);
+        let id = Digest(0x0123_4567_89ab_cdef);
+        store.put(C::REPORT_KIND, id, &artifact).unwrap();
+
+        let reply = get(&state, &format!("/jobs/{id}"));
+        assert_eq!(reply.status(), 200, "{}", C::NAME);
+        let polled = String::from_utf8(body_of(reply)).unwrap();
+        let expected =
+            obj(vec![("id", s(id.to_string())), ("state", s("done")), ("result", artifact)]);
+        assert_eq!(serde_json::from_str::<Value>(&polled).unwrap(), expected, "{}", C::NAME);
+        let reply = get(&state, &format!("/jobs/{id}/events"));
+        assert!(matches!(reply, Reply::EventStream { .. }), "{}", C::NAME);
+        let batch = state.bus.fetch(&id.to_string(), 0);
+        assert!(batch.finished);
+        assert_eq!(batch.lines, [polled]);
+
+        let torn = Digest(0x0fed_cba9_8765_4321);
+        std::fs::write(store.path_for(C::REPORT_KIND, torn), b"{ torn").unwrap();
+        assert_eq!(get(&state, &format!("/jobs/{torn}")).status(), 500, "{}", C::NAME);
+        assert_eq!(get(&state, &format!("/jobs/{torn}/events")).status(), 500, "{}", C::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_tune_report_answers_polls_and_streams() {
+        assert_store_fallback::<TuneSpec>();
+    }
+
+    #[test]
+    fn stored_fleet_report_answers_polls_and_streams() {
+        assert_store_fallback::<FleetSpec>();
+    }
+
+    #[test]
+    fn stored_learn_report_answers_polls_and_streams() {
+        assert_store_fallback::<LearnSpec>();
     }
 
     #[test]

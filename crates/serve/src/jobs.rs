@@ -1,23 +1,21 @@
 //! Job submission: a bounded work queue in front of the persistent
 //! executor, plus the tracker that answers `GET /jobs/{id}`.
 //!
-//! A submitted job is an [`AnnualJob`] spec, a robust-tuning
-//! [`TuneSpec`], a fleet campaign [`FleetSpec`], or a learned-control
-//! benchmark [`LearnSpec`]; its content digest is
-//! its public id, so resubmitting the same spec is idempotent (same id,
-//! and the artifact store serves the repeat without re-execution). The queue is a `sync_channel` bounded at
-//! the configured depth — when it is full the daemon answers
-//! `503 Retry-After` instead of buffering without end.
+//! A submitted job is an [`AnnualJob`] spec or the spec of a registered
+//! [`Campaign`] kind (see [`crate::campaign_registry`]); its content
+//! digest is its public id, so resubmitting the same spec is idempotent
+//! (same id, and the artifact store serves the repeat without
+//! re-execution). The queue is a `sync_channel` bounded at the configured
+//! depth — when it is full the daemon answers `503 Retry-After` instead of
+//! buffering without end.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 
-use coolair_runner::{Digest, Executor, Job, JobResult};
+use coolair_runner::{run_campaign, Campaign, Digest, Executor, Job, JobResult};
 use coolair_sim::jobs::AnnualJob;
 use coolair_telemetry::Telemetry;
-use coolair_fleet::{run_fleet_with, FleetSpec, KIND_FLEET_REPORT};
-use coolair_learn::{run_learn_with, LearnSpec, KIND_LEARN_REPORT};
-use coolair_tune::{run_tune_with, TuneSpec, KIND_TUNE_REPORT};
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
@@ -122,22 +120,69 @@ impl JobTracker {
     }
 }
 
-/// What a ticket carries: one annual simulation, or a whole robust-tuning
-/// run. A tune occupies its worker for the full decomposition loop, but
-/// its per-scenario evaluations flow through the same shared executor, so
-/// they land in (and are served from) the same artifact store as annual
-/// jobs. Both specs are boxed — they are hundreds of bytes each and the
-/// enum moves through a bounded channel.
+/// The campaign registry: expands to an array holding `$entry!(Spec)` for
+/// every registered [`Campaign`] kind, in `POST /jobs` precedence order.
+///
+/// `POST /jobs`, the store fallback of `GET /jobs/{id}`, and the CLI's
+/// campaign subcommands and `coolair report` all walk this one list, each
+/// through its own `$entry` macro (callers name the campaign crates as
+/// dependencies). Adding a campaign kind is its crate, implementing
+/// [`Campaign`], plus one line here.
+#[macro_export]
+macro_rules! campaign_registry {
+    ($entry:ident) => {
+        [
+            $entry!(::coolair_tune::TuneSpec),
+            $entry!(::coolair_fleet::FleetSpec),
+            $entry!(::coolair_learn::LearnSpec),
+        ]
+    };
+}
+
+/// A campaign spec with its kind erased, so one queue arm and one ticket
+/// runner serve every registered kind. Implemented for every
+/// [`Campaign`].
+pub trait QueuedCampaign: Debug + Send {
+    /// The spec digest (the public job id).
+    fn digest(&self) -> Digest;
+
+    /// Human label for the tracker.
+    fn label(&self) -> String;
+
+    /// Runs the campaign through [`run_campaign`] (panics fenced, report
+    /// artifact stored) and renders the outcome as the job's result.
+    ///
+    /// # Errors
+    ///
+    /// The run's failure message.
+    fn run(&self, executor: &Executor, telemetry: &Telemetry) -> Result<Value, String>;
+}
+
+impl<C: Campaign> QueuedCampaign for C {
+    fn digest(&self) -> Digest {
+        Campaign::digest(self)
+    }
+
+    fn label(&self) -> String {
+        Campaign::label(self)
+    }
+
+    fn run(&self, executor: &Executor, telemetry: &Telemetry) -> Result<Value, String> {
+        run_campaign(self, executor, telemetry).map(|outcome| outcome.to_value())
+    }
+}
+
+/// What a ticket carries: one annual simulation, or a whole campaign. A
+/// campaign occupies its worker for the full run, but its evaluations
+/// flow through the same shared executor, so they land in (and are served
+/// from) the same artifact store as annual jobs. Both are boxed — specs
+/// are hundreds of bytes and the enum moves through a bounded channel.
 #[derive(Debug)]
 pub enum QueuedJob {
     /// A single annual simulation.
     Annual(Box<AnnualJob>),
-    /// A worst-case-robust tuning run.
-    Tune(Box<TuneSpec>),
-    /// A geo-distributed fleet campaign.
-    Fleet(Box<FleetSpec>),
-    /// A learned-control training + benchmark run.
-    Learn(Box<LearnSpec>),
+    /// A registered campaign (robust tune, fleet, learn, ...).
+    Campaign(Box<dyn QueuedCampaign>),
 }
 
 impl QueuedJob {
@@ -146,9 +191,7 @@ impl QueuedJob {
     pub fn digest(&self) -> Digest {
         match self {
             QueuedJob::Annual(job) => job.digest(),
-            QueuedJob::Tune(spec) => spec.digest(),
-            QueuedJob::Fleet(spec) => spec.digest(),
-            QueuedJob::Learn(spec) => spec.digest(),
+            QueuedJob::Campaign(spec) => spec.digest(),
         }
     }
 
@@ -157,11 +200,23 @@ impl QueuedJob {
     pub fn label(&self) -> String {
         match self {
             QueuedJob::Annual(job) => job.label(),
-            QueuedJob::Tune(spec) => format!("robust tune (seed {})", spec.seed),
-            QueuedJob::Fleet(spec) => {
-                format!("fleet campaign ({} containers, seed {})", spec.containers, spec.seed)
-            }
-            QueuedJob::Learn(spec) => format!("learn benchmark (seed {})", spec.seed),
+            QueuedJob::Campaign(spec) => spec.label(),
+        }
+    }
+
+    /// Runs the job on the shared executor; the result is what the
+    /// tracker records. Campaigns run on the daemon's telemetry, so their
+    /// counters surface on `/metrics`.
+    fn run(&self, executor: &Executor, telemetry: &Telemetry) -> Result<Value, String> {
+        match self {
+            QueuedJob::Annual(job) => match executor.run(std::slice::from_ref(&**job)).pop() {
+                Some(JobResult::Computed(summary) | JobResult::Cached(summary)) => {
+                    Ok(summary.to_value())
+                }
+                Some(JobResult::Failed { error, .. }) => Err(error),
+                None => Err("executor returned no result".to_string()),
+            },
+            QueuedJob::Campaign(spec) => spec.run(executor, telemetry),
         }
     }
 }
@@ -233,10 +288,10 @@ pub fn publish_record(bus: &EventBus, tracker: &JobTracker, id: &str, close: boo
 }
 
 /// One worker: pulls tickets until the queue closes *and* drains, runs
-/// each on the shared executor, and records the outcome. The executor
-/// already persists successful outputs to the artifact store (when one is
-/// attached) before this returns the result. Every state transition is
-/// mirrored onto the event bus for `GET /jobs/{id}/events` subscribers.
+/// each on the shared executor, and records the outcome. Successful
+/// outputs reach the artifact store (when one is attached) before the
+/// tracker records them. Every state transition is mirrored onto the
+/// event bus for `GET /jobs/{id}/events` subscribers.
 pub fn job_worker(
     rx: &Mutex<Receiver<JobTicket>>,
     executor: &Executor,
@@ -253,133 +308,21 @@ pub fn job_worker(
         let id = ticket.digest.to_string();
         tracker.update(&id, |r| r.state = JobState::Running);
         publish_record(bus, tracker, &id, false);
-        match ticket.job {
-            QueuedJob::Annual(job) => run_annual_ticket(&id, &job, executor, tracker),
-            QueuedJob::Tune(spec) => {
-                run_tune_ticket(&id, ticket.digest, &spec, executor, tracker, telemetry);
+        let result = ticket.job.run(executor, telemetry);
+        tracker.update(&id, |r| match result {
+            Ok(value) => {
+                r.state = JobState::Done;
+                r.result = Some(value);
             }
-            QueuedJob::Fleet(spec) => {
-                run_fleet_ticket(&id, ticket.digest, &spec, executor, tracker, telemetry);
+            Err(error) => {
+                r.state = JobState::Failed;
+                r.error = Some(error);
             }
-            QueuedJob::Learn(spec) => {
-                run_learn_ticket(&id, ticket.digest, &spec, executor, tracker, telemetry);
-            }
-        }
+        });
         // Terminal transition (done or failed): close the log so streams
         // deliver the final record and end.
         publish_record(bus, tracker, &id, true);
     }
-}
-
-fn run_annual_ticket(id: &str, job: &AnnualJob, executor: &Executor, tracker: &JobTracker) {
-    let mut results = executor.run(std::slice::from_ref(job));
-    let result = results.pop();
-    tracker.update(id, |r| match result {
-        Some(JobResult::Computed(ref summary) | JobResult::Cached(ref summary)) => {
-            r.state = JobState::Done;
-            r.result = Some(summary.to_value());
-        }
-        Some(JobResult::Failed { ref error, .. }) => {
-            r.state = JobState::Failed;
-            r.error = Some(error.clone());
-        }
-        None => {
-            r.state = JobState::Failed;
-            r.error = Some("executor returned no result".to_string());
-        }
-    });
-}
-
-/// Runs a tune ticket. The whole decomposition loop executes on this
-/// worker thread; the daemon's telemetry is threaded in so the tune's
-/// memo counters surface on `/metrics`. A tune panics on invalid specs
-/// and internal failures, and a panicking job must not take the worker
-/// down — it is fenced like a connection thread and recorded as failed.
-fn run_tune_ticket(
-    id: &str,
-    digest: Digest,
-    spec: &TuneSpec,
-    executor: &Executor,
-    tracker: &JobTracker,
-    telemetry: &Telemetry,
-) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_tune_with(spec, executor, telemetry)
-    }));
-    if let (Ok(outcome), Some(store)) = (&outcome, executor.store()) {
-        // Persist the report so a restarted daemon can answer
-        // `GET /jobs/{id}` for this tune straight from the store.
-        let _ = store.put(KIND_TUNE_REPORT, digest, outcome);
-    }
-    tracker.update(id, |r| match &outcome {
-        Ok(outcome) => {
-            r.state = JobState::Done;
-            r.result = Some(outcome.to_value());
-        }
-        Err(_) => {
-            r.state = JobState::Failed;
-            r.error = Some("tune run panicked".to_string());
-        }
-    });
-}
-
-/// Runs a fleet ticket: the campaign's lane evaluations flow through the
-/// shared executor (and its store), the report is persisted under
-/// `fleet-report/{digest}`, and panics are fenced exactly like a tune's.
-fn run_fleet_ticket(
-    id: &str,
-    digest: Digest,
-    spec: &FleetSpec,
-    executor: &Executor,
-    tracker: &JobTracker,
-    telemetry: &Telemetry,
-) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_fleet_with(spec, executor, telemetry)
-    }));
-    if let (Ok(outcome), Some(store)) = (&outcome, executor.store()) {
-        let _ = store.put(KIND_FLEET_REPORT, digest, outcome);
-    }
-    tracker.update(id, |r| match &outcome {
-        Ok(outcome) => {
-            r.state = JobState::Done;
-            r.result = Some(outcome.to_value());
-        }
-        Err(_) => {
-            r.state = JobState::Failed;
-            r.error = Some("fleet run panicked".to_string());
-        }
-    });
-}
-
-/// Runs a learn ticket: training rollouts flow through the shared
-/// executor (so the store memoizes them and `/metrics` sees
-/// `learn.rollout.*` / `learn.memo.*`), the report is persisted under
-/// `learn-report/{digest}`, and panics are fenced exactly like a tune's.
-fn run_learn_ticket(
-    id: &str,
-    digest: Digest,
-    spec: &LearnSpec,
-    executor: &Executor,
-    tracker: &JobTracker,
-    telemetry: &Telemetry,
-) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_learn_with(spec, executor, telemetry)
-    }));
-    if let (Ok(outcome), Some(store)) = (&outcome, executor.store()) {
-        let _ = store.put(KIND_LEARN_REPORT, digest, outcome);
-    }
-    tracker.update(id, |r| match &outcome {
-        Ok(outcome) => {
-            r.state = JobState::Done;
-            r.result = Some(outcome.to_value());
-        }
-        Err(_) => {
-            r.state = JobState::Failed;
-            r.error = Some("learn run panicked".to_string());
-        }
-    });
 }
 
 /// Builds the ticket for a spec (digest is computed once, here).
@@ -391,6 +334,9 @@ pub fn ticket_for(job: QueuedJob) -> JobTicket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coolair_fleet::FleetSpec;
+    use coolair_learn::LearnSpec;
+    use coolair_tune::TuneSpec;
     use std::sync::mpsc::sync_channel;
 
     fn record(id: &str) -> JobRecord {
@@ -446,7 +392,7 @@ mod tests {
         let mut spec = TuneSpec::smoke(11);
         spec.rounds = 1;
         spec.iters = 1;
-        let ticket = ticket_for(QueuedJob::Tune(Box::new(spec.clone())));
+        let ticket = ticket_for(QueuedJob::Campaign(Box::new(spec.clone())));
         let id = ticket.digest.to_string();
         assert_eq!(id, spec.digest().to_string());
         tracker.put(JobRecord {
@@ -496,7 +442,7 @@ mod tests {
         spec.cem.elites = 1;
         spec.q.episodes = 1;
         spec.q.checkpoint_every = 1;
-        let ticket = ticket_for(QueuedJob::Learn(Box::new(spec.clone())));
+        let ticket = ticket_for(QueuedJob::Campaign(Box::new(spec.clone())));
         let id = ticket.digest.to_string();
         assert_eq!(id, spec.digest().to_string());
         tracker.put(JobRecord {
@@ -529,7 +475,7 @@ mod tests {
         let executor = Executor::in_memory(2, telemetry.clone());
         let tracker = JobTracker::default();
         let spec = FleetSpec::smoke(11);
-        let ticket = ticket_for(QueuedJob::Fleet(Box::new(spec.clone())));
+        let ticket = ticket_for(QueuedJob::Campaign(Box::new(spec.clone())));
         let id = ticket.digest.to_string();
         assert_eq!(id, spec.digest().to_string());
         tracker.put(JobRecord {

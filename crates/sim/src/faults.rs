@@ -22,6 +22,7 @@
 //! [`FaultPlan::none`] is guaranteed zero-cost: with an empty plan every
 //! code path returns its input untouched.
 
+use coolair_runner::SplitMix64;
 use coolair_thermal::{CoolingRegime, SensorReadings};
 use coolair_units::{Celsius, FanSpeed, SimDuration, SimTime, TempDelta, SECS_PER_DAY};
 use coolair_weather::{ForecastGlitch, GlitchKind};
@@ -463,14 +464,9 @@ fn sample_count(rng: &mut StdRng, rate: f64) -> u64 {
 /// SplitMix64 finalisation into a Box–Muller transform — so noise does not
 /// depend on how many times or in what order readings are taken.
 fn unit_gaussian(seed: u64, t: SimTime, pod: usize) -> f64 {
-    fn splitmix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    let h0 = splitmix(seed ^ t.as_secs().wrapping_mul(0x2545_f491_4f6c_dd1d) ^ pod as u64);
-    let h1 = splitmix(h0);
+    let h0 = SplitMix64::new(seed ^ t.as_secs().wrapping_mul(0x2545_f491_4f6c_dd1d) ^ pod as u64)
+        .next_u64();
+    let h1 = SplitMix64::new(h0).next_u64();
     // Two uniforms in (0, 1]; u1 bounded away from 0 for the log.
     let u1 = ((h0 >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
     let u2 = (h1 >> 11) as f64 / (1u64 << 53) as f64;

@@ -26,17 +26,17 @@
 //! artifact store memoizes across probes *and* across process restarts: a
 //! killed tune resumed against the same store replays to a bit-identical
 //! incumbent and pool. All entropy lives in the [`TuneSpec`] — the run is
-//! a pure function of its spec.
+//! a pure function of its spec. [`TuneSpec`] is a
+//! [`coolair_runner::Campaign`] named `tune`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod eval;
-mod rng;
 mod spec;
 mod tuner;
 
+pub use coolair_runner::SplitMix64;
 pub use eval::{EvalJob, EvalOutcome, KIND_TUNE_EVAL};
-pub use rng::SplitMix64;
 pub use spec::{TuneSpec, KIND_TUNE_REPORT};
 pub use tuner::{run_tune_with, RoundLog, ScenarioReport, TuneOutcome};

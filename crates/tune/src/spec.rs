@@ -2,11 +2,14 @@
 //! everything that determines a tune run, serialized and digested.
 
 use coolair::Version;
-use coolair_runner::{stable_digest, Digest};
+use coolair_runner::{stable_digest, Campaign, Digest, Executor};
 use coolair_sim::{AnnualConfig, FaultSpec, Scenario};
+use coolair_telemetry::Telemetry;
 use coolair_weather::Location;
 use coolair_workload::TraceKind;
 use serde::{Deserialize, Serialize};
+
+use crate::tuner::{run_tune_with, TuneOutcome};
 
 /// Artifact namespace of tune reports.
 pub const KIND_TUNE_REPORT: &str = "tune-report";
@@ -167,6 +170,24 @@ impl TuneSpec {
         } else {
             Err(problems.join("; "))
         }
+    }
+}
+
+impl Campaign for TuneSpec {
+    const NAME: &'static str = "tune";
+    const REPORT_KIND: &'static str = KIND_TUNE_REPORT;
+    type Outcome = TuneOutcome;
+
+    fn validate(&self) -> Result<(), String> {
+        TuneSpec::validate(self)
+    }
+
+    fn label(&self) -> String {
+        format!("robust tune (seed {})", self.seed)
+    }
+
+    fn run(&self, exec: &Executor, telemetry: &Telemetry) -> TuneOutcome {
+        run_tune_with(self, exec, telemetry)
     }
 }
 

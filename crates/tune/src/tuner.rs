@@ -6,20 +6,18 @@
 //! breaks the tuned incumbent. If one exists, it joins the active set and
 //! tuning repeats; if none does, the incumbent is worst-case robust over
 //! the whole suite and the loop has converged. Every `(design, scenario)`
-//! evaluation is memoized twice — in-process for repeated probes, and in
+//! evaluation is memoized twice — in-process for repeated probes (a
+//! [`coolair_runner::Memo`] keyed by the evaluation's job digest), and in
 //! the content-addressed artifact store for killed-and-resumed runs.
 
-use std::collections::HashMap;
-
 use coolair::{CoolingModel, DesignVector, KNOBS, KNOB_COUNT};
-use coolair_runner::{stable_digest, Digest, Executor, Job, JobResult};
+use coolair_runner::{Digest, Executor, Job, Memo, SplitMix64};
 use coolair_sim::jobs::TrainJob;
 use coolair_sim::Scenario;
 use coolair_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::eval::{EvalJob, EvalOutcome};
-use crate::rng::SplitMix64;
 use crate::spec::TuneSpec;
 
 /// Float comparisons treat differences below this as ties, so the loop
@@ -107,10 +105,14 @@ struct Score {
     worst_energy: f64,
 }
 
+/// The largest violation over a set of evaluations, °C·min.
+fn worst_violation(evals: &[EvalOutcome]) -> f64 {
+    evals.iter().map(|e| e.violation_cmin).fold(0.0_f64, f64::max)
+}
+
 impl Score {
     fn of(evals: &[EvalOutcome], cap: f64) -> Self {
-        let worst_violation =
-            evals.iter().map(|e| e.violation_cmin).fold(0.0_f64, f64::max);
+        let worst_violation = worst_violation(evals);
         let mean_violation = if evals.is_empty() {
             0.0
         } else {
@@ -145,113 +147,59 @@ impl Score {
     }
 }
 
-/// The evaluation cache + executor front-end shared by the search and the
+/// The evaluation memo + executor front-end shared by the search and the
 /// adversary.
 struct Tuner<'a> {
     spec: &'a TuneSpec,
     exec: &'a Executor,
     telemetry: &'a Telemetry,
-    memo: HashMap<(Digest, Digest), EvalOutcome>,
-    models: HashMap<Digest, CoolingModel>,
-    memo_hits: u64,
-    memo_misses: u64,
+    memo: Memo<EvalOutcome>,
+    models: Memo<CoolingModel>,
+}
+
+/// The training spec a scenario's evaluation depends on: the base budget
+/// with the scenario's weather year.
+fn train_job(spec: &TuneSpec, scenario: &Scenario) -> TrainJob {
+    let mut annual = spec.annual.clone();
+    annual.weather_seed = scenario.weather_seed;
+    TrainJob { location: scenario.location.clone(), annual }
 }
 
 impl<'a> Tuner<'a> {
     fn new(spec: &'a TuneSpec, exec: &'a Executor, telemetry: &'a Telemetry) -> Self {
-        Tuner {
-            spec,
-            exec,
-            telemetry,
-            memo: HashMap::new(),
-            models: HashMap::new(),
-            memo_hits: 0,
-            memo_misses: 0,
-        }
-    }
-
-    /// The training spec a scenario's evaluation depends on: the base
-    /// budget with the scenario's weather year.
-    fn train_job(&self, scenario: &Scenario) -> TrainJob {
-        let mut annual = self.spec.annual.clone();
-        annual.weather_seed = scenario.weather_seed;
-        TrainJob { location: scenario.location.clone(), annual }
-    }
-
-    /// Trains (or loads from the store) every Cooling Model the scenarios
-    /// need, in one executor batch.
-    fn ensure_models(&mut self, scenarios: &[&Scenario]) {
-        let mut jobs: Vec<TrainJob> = Vec::new();
-        let mut digests: Vec<Digest> = Vec::new();
-        for sc in scenarios {
-            let job = self.train_job(sc);
-            let d = job.digest();
-            if !self.models.contains_key(&d) && !digests.contains(&d) {
-                digests.push(d);
-                jobs.push(job);
-            }
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        for (d, result) in digests.into_iter().zip(self.exec.run(&jobs)) {
-            match result.into_output() {
-                Some(model) => {
-                    self.models.insert(d, model);
-                }
-                None => panic!("cooling-model training failed during tune"),
-            }
-        }
+        Tuner { spec, exec, telemetry, memo: Memo::new("tune"), models: Memo::new("tune.model") }
     }
 
     /// Evaluates one design against a scenario list, in order, through the
-    /// two memo layers (in-process map, then the executor's artifact
-    /// store).
+    /// two memo layers (in-process memo, then the executor's artifact
+    /// store). Only missed evaluations need their Cooling Models, which
+    /// are trained (or loaded from the store) in one batch first.
     fn evaluate(&mut self, design: &DesignVector, scenarios: &[Scenario]) -> Vec<EvalOutcome> {
-        let design_digest = stable_digest(design);
-        let mut out: Vec<Option<EvalOutcome>> = Vec::with_capacity(scenarios.len());
-        let mut missing: Vec<(usize, &Scenario)> = Vec::new();
-        for (i, sc) in scenarios.iter().enumerate() {
-            match self.memo.get(&(design_digest, sc.digest())) {
-                Some(hit) => {
-                    self.memo_hits += 1;
-                    out.push(Some(hit.clone()));
-                }
-                None => {
-                    self.memo_misses += 1;
-                    out.push(None);
-                    missing.push((i, sc));
-                }
-            }
-        }
-        self.telemetry.counter_add("tune.memo.hit", (scenarios.len() - missing.len()) as u64);
-        self.telemetry.counter_add("tune.memo.miss", missing.len() as u64);
-        if !missing.is_empty() {
-            let need: Vec<&Scenario> = missing.iter().map(|(_, sc)| *sc).collect();
-            self.ensure_models(&need);
-            let jobs: Vec<EvalJob> = missing
+        let (spec, exec, telemetry) = (self.spec, self.exec, self.telemetry);
+        let digests: Vec<Digest> = scenarios
+            .iter()
+            .map(|sc| EvalJob::digest_for(design, sc, spec.version, &spec.annual))
+            .collect();
+        let models = &mut self.models;
+        self.memo.get_or_run(exec, telemetry, &digests, |slots| {
+            let train: Vec<TrainJob> =
+                slots.iter().map(|&i| train_job(spec, &scenarios[i])).collect();
+            let train_digests: Vec<Digest> = train.iter().map(Job::digest).collect();
+            let trained = models.get_or_run(exec, telemetry, &train_digests, |first| {
+                first.iter().map(|&k| train[k].clone()).collect()
+            });
+            slots
                 .iter()
-                .map(|(_, sc)| EvalJob {
+                .zip(trained)
+                .map(|(&i, model)| EvalJob {
                     design: design.clone(),
-                    scenario: (*sc).clone(),
-                    version: self.spec.version,
-                    annual: self.spec.annual.clone(),
-                    model: self.models.get(&self.train_job(sc).digest()).cloned(),
+                    scenario: scenarios[i].clone(),
+                    version: spec.version,
+                    annual: spec.annual.clone(),
+                    model: Some(model),
                 })
-                .collect();
-            for ((i, sc), result) in missing.iter().zip(self.exec.run(&jobs)) {
-                match result {
-                    JobResult::Computed(o) | JobResult::Cached(o) => {
-                        self.memo.insert((design_digest, sc.digest()), o.clone());
-                        out[*i] = Some(o);
-                    }
-                    JobResult::Failed { error, .. } => {
-                        panic!("tune evaluation failed for {}: {error}", sc.label())
-                    }
-                }
-            }
-        }
-        out.into_iter().map(|o| o.expect("filled above")).collect()
+                .collect()
+        })
     }
 
     fn score(&mut self, design: &DesignVector, pool: &[Scenario], cap: f64) -> Score {
@@ -377,8 +325,7 @@ pub fn run_tune_with(spec: &TuneSpec, exec: &Executor, telemetry: &Telemetry) ->
     let nominal_evals = tuner.evaluate(&nominal, &suite);
     let nominal_worst_energy =
         nominal_evals.iter().map(EvalOutcome::total_kwh).fold(0.0_f64, f64::max);
-    let nominal_worst_violation =
-        nominal_evals.iter().map(|e| e.violation_cmin).fold(0.0_f64, f64::max);
+    let nominal_worst_violation = worst_violation(&nominal_evals);
     let cap = (1.0 + spec.energy_slack) * nominal_worst_energy;
 
     let mut pool: Vec<Scenario> = Vec::new();
@@ -420,11 +367,17 @@ pub fn run_tune_with(spec: &TuneSpec, exec: &Executor, telemetry: &Telemetry) ->
         }
     }
 
-    let robust_evals = tuner.evaluate(&incumbent, &suite);
+    let mut robust_evals = tuner.evaluate(&incumbent, &suite);
+    // The round budget can run out right after the adversary added a
+    // scenario that breaks the incumbent. A "robust" design worse than
+    // nominal over the suite is no answer: report the nominal design.
+    if worst_violation(&robust_evals) > nominal_worst_violation {
+        incumbent = nominal.clone();
+        robust_evals = nominal_evals.clone();
+    }
     let robust_worst_energy =
         robust_evals.iter().map(EvalOutcome::total_kwh).fold(0.0_f64, f64::max);
-    let robust_worst_violation =
-        robust_evals.iter().map(|e| e.violation_cmin).fold(0.0_f64, f64::max);
+    let robust_worst_violation = worst_violation(&robust_evals);
     let table: Vec<ScenarioReport> = suite
         .iter()
         .zip(nominal_evals.iter().zip(robust_evals.iter()))
@@ -451,8 +404,8 @@ pub fn run_tune_with(spec: &TuneSpec, exec: &Executor, telemetry: &Telemetry) ->
         robust_worst_violation,
         nominal_worst_energy,
         robust_worst_energy,
-        memo_hits: tuner.memo_hits,
-        memo_misses: tuner.memo_misses,
+        memo_hits: tuner.memo.hits(),
+        memo_misses: tuner.memo.misses(),
     }
 }
 

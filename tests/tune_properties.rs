@@ -73,6 +73,25 @@ fn different_seeds_may_search_differently_but_stay_valid() {
     }
 }
 
+/// The round budget can end right after the adversary added a scenario
+/// that breaks the incumbent (smoke seed 46 does). The reported robust
+/// design must then fall back to nominal rather than lose to it.
+#[test]
+fn exhausted_budget_never_reports_a_robust_design_worse_than_nominal() {
+    let telemetry = Telemetry::discard();
+    let exec = Executor::in_memory(2, telemetry.clone());
+    let out = run_tune_with(&TuneSpec::smoke(46), &exec, &telemetry);
+    assert!(!out.converged, "seed 46 exhausts its round budget");
+    assert!(
+        out.robust_worst_violation <= out.nominal_worst_violation,
+        "robust worst-case violation {} must not exceed nominal {}",
+        out.robust_worst_violation,
+        out.nominal_worst_violation
+    );
+    assert_eq!(out.robust, out.nominal, "the fallback reports the nominal design");
+    assert!(out.table.iter().all(|row| row.robust == row.nominal));
+}
+
 /// A killed tune resumed against the same artifact store reproduces the
 /// incumbent and scenario pool bit for bit. The kill is simulated by
 /// copying only a prefix of the first run's evaluation artifacts into a
