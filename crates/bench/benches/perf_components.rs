@@ -63,34 +63,13 @@ fn bench_model_predict(c: &mut Criterion) {
     });
 }
 
-fn bench_optimizer(c: &mut Criterion) {
-    let tmy = TmySeries::generate(&Location::newark(), 11);
-    let model = train_cooling_model(&tmy, &TrainingConfig::quick());
-    let cfg = CoolAirConfig::default();
-    let mut opt = CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Smooth);
-    let plant = Plant::new(PlantConfig::parasol());
-    let readings = plant.readings(SimTime::EPOCH);
-    let band = TempBand::new(Celsius::new(20.0), Celsius::new(25.0));
-    // Steady-state shape: the same tick repeats, so iterations 2+ hit the
-    // prediction memo — the common case in Smooth-Sim's long plateaus.
-    c.bench_function("optimizer_select_smooth", |b| {
-        b.iter(|| {
-            black_box(
-                opt.select(&model, &cfg, &readings, None, Some(band), &[true; 4]).unwrap(),
-            );
-        });
-    });
-}
-
 fn bench_optimizer_batched(c: &mut Criterion) {
     let tmy = TmySeries::generate(&Location::newark(), 11);
     let model = train_cooling_model(&tmy, &TrainingConfig::quick());
     let cfg = CoolAirConfig::default();
     let mut opt = CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Smooth);
-    // Memo off: this measures the two-phase PredictionContext path itself —
-    // candidate-invariant work hoisted out of the per-candidate loop, scratch
-    // buffers reused across all 20 Smooth candidates — with no caching.
-    opt.set_memo_capacity(0);
+    // One full tick: the shared PredictionContext over all 20 smooth
+    // candidates (11 distinct roll-forwards).
     let plant = Plant::new(PlantConfig::parasol());
     let readings = plant.readings(SimTime::EPOCH);
     let band = TempBand::new(Celsius::new(20.0), Celsius::new(25.0));
@@ -191,7 +170,6 @@ criterion_group!(
     benches,
     bench_plant_step,
     bench_model_predict,
-    bench_optimizer,
     bench_optimizer_batched,
     bench_m5p,
     bench_day_sim,

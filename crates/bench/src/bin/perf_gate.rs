@@ -4,10 +4,12 @@
 //!
 //! Compares a freshly generated `BENCH_perf.json` against the committed
 //! baseline and exits non-zero if any tracked metric regressed by more
-//! than `threshold` (default 0.25 = 25 %). Direction-aware: `ns` rows
-//! fail when slower, `req/s` rows fail when the rate falls. New rows and
-//! rows that improved never fail the gate. See EXPERIMENTS.md for the
-//! schema and how to re-baseline after an intentional perf change.
+//! than `threshold` (default 0.25 = 25 %), or if a baseline row is
+//! missing from the fresh report (rows under `perf::UNGATED_PREFIXES`
+//! excepted). Direction-aware: `ns` rows fail when slower, `req/s` rows
+//! fail when the rate falls. New rows and rows that improved never fail
+//! the gate. See EXPERIMENTS.md for the schema and how to re-baseline
+//! after an intentional perf change.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -54,18 +56,18 @@ fn main() -> ExitCode {
         .iter()
         .filter(|b| current.results.iter().any(|c| c.name == b.name))
         .count();
-    let regressions = compare_reports(&baseline, &current, threshold);
+    let failures = compare_reports(&baseline, &current, threshold);
     println!(
         "perf-gate: {tracked} tracked metric(s), threshold {:.0}%",
         threshold * 100.0
     );
-    if regressions.is_empty() {
-        println!("perf-gate: OK — no metric regressed past the threshold");
+    if failures.is_empty() {
+        println!("perf-gate: OK — no metric regressed past the threshold or went missing");
         return ExitCode::SUCCESS;
     }
-    eprintln!("perf-gate: FAIL — {} metric(s) regressed:", regressions.len());
-    for r in &regressions {
-        eprintln!("  {r}");
+    eprintln!("perf-gate: FAIL — {} metric(s) regressed or missing:", failures.len());
+    for f in &failures {
+        eprintln!("  {f}");
     }
     eprintln!(
         "perf-gate: if the slowdown is intentional, re-baseline per EXPERIMENTS.md \

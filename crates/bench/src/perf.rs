@@ -115,6 +115,34 @@ pub fn load_report(path: &Path) -> std::io::Result<PerfReport> {
     })
 }
 
+/// Name prefixes of baseline rows the gate lets a run omit. CI re-runs
+/// `perf_components`, `fleet_step_throughput` and
+/// `episode_step_throughput`, but not `serve_throughput` (it needs 64
+/// client threads and a quiet host), so the `serve/*` rows are never
+/// re-measured there. Any other baseline row must be produced again.
+pub const UNGATED_PREFIXES: &[&str] = &["serve/"];
+
+/// Why a baseline row fails the gate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GateFailure {
+    /// The row moved past the threshold in its worse direction.
+    Regressed(Regression),
+    /// The current run did not produce the row, and no
+    /// [`UNGATED_PREFIXES`] entry covers it.
+    Missing(String),
+}
+
+impl std::fmt::Display for GateFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GateFailure::Regressed(r) => r.fmt(f),
+            GateFailure::Missing(name) => {
+                write!(f, "{name}: in the baseline but not produced by this run")
+            }
+        }
+    }
+}
+
 /// One tracked metric that moved past the regression threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
@@ -154,27 +182,33 @@ fn unit_higher_is_better(unit: Option<&str>) -> bool {
 }
 
 /// Compares a fresh report against a committed baseline and returns every
-/// tracked metric that regressed by more than `threshold` (0.25 = 25 %).
+/// baseline row that fails: regressed by more than `threshold` (0.25 =
+/// 25 %), or missing from the fresh report.
 ///
 /// Direction-aware: `ns` rows regress when `current > baseline × (1 +
 /// threshold)`; rate rows (`req/s`) regress when `current < baseline × (1 -
-/// threshold)`. Rows present in only one report are skipped — a new or
-/// renamed bench is not a regression — as are baseline rows with value 0
-/// (no meaningful ratio).
+/// threshold)`. A baseline row the fresh report lacks fails unless an
+/// [`UNGATED_PREFIXES`] entry covers it, so a bench that stops running
+/// cannot pass unnoticed; retiring a bench means deleting its baseline
+/// row. Rows only in the fresh report (a new bench) pass, as do baseline
+/// rows with value 0 (no meaningful ratio).
 #[must_use]
 pub fn compare_reports(
     baseline: &PerfReport,
     current: &PerfReport,
     threshold: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
+) -> Vec<GateFailure> {
+    let mut failures = Vec::new();
     for base in &baseline.results {
+        let Some(cur) = current.results.iter().find(|e| e.name == base.name) else {
+            if !UNGATED_PREFIXES.iter().any(|p| base.name.starts_with(p)) {
+                failures.push(GateFailure::Missing(base.name.clone()));
+            }
+            continue;
+        };
         if base.median_ns == 0 {
             continue;
         }
-        let Some(cur) = current.results.iter().find(|e| e.name == base.name) else {
-            continue;
-        };
         let higher_is_better = unit_higher_is_better(base.unit.as_deref());
         let ratio = cur.median_ns as f64 / base.median_ns as f64;
         let regressed = if higher_is_better {
@@ -183,16 +217,16 @@ pub fn compare_reports(
             ratio > 1.0 + threshold
         };
         if regressed {
-            regressions.push(Regression {
+            failures.push(GateFailure::Regressed(Regression {
                 name: base.name.clone(),
                 baseline: base.median_ns,
                 current: cur.median_ns,
                 ratio,
                 higher_is_better,
-            });
+            }));
         }
     }
-    regressions
+    failures
 }
 
 #[cfg(test)]
@@ -243,11 +277,21 @@ mod tests {
         }
     }
 
+    fn regressions(failures: Vec<GateFailure>) -> Vec<Regression> {
+        failures
+            .into_iter()
+            .map(|f| match f {
+                GateFailure::Regressed(r) => r,
+                GateFailure::Missing(name) => panic!("unexpected missing row {name}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn compare_flags_latency_regressions_only_past_threshold() {
         let base = report(vec![entry("a", 100), entry("b", 100)]);
         let cur = report(vec![entry("a", 124), entry("b", 126)]);
-        let regs = compare_reports(&base, &cur, 0.25);
+        let regs = regressions(compare_reports(&base, &cur, 0.25));
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].name, "b");
         assert!(!regs[0].higher_is_better);
@@ -260,7 +304,7 @@ mod tests {
         // regresses.
         let base = report(vec![rate_entry("rps_up", 1000), rate_entry("rps_down", 1000)]);
         let cur = report(vec![rate_entry("rps_up", 1500), rate_entry("rps_down", 700)]);
-        let regs = compare_reports(&base, &cur, 0.25);
+        let regs = regressions(compare_reports(&base, &cur, 0.25));
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].name, "rps_down");
         assert!(regs[0].higher_is_better);
@@ -268,9 +312,29 @@ mod tests {
 
     #[test]
     fn compare_skips_unmatched_and_zero_baseline_rows() {
-        let base = report(vec![entry("gone", 100), entry("zero", 0)]);
+        // Unmatched on either side: an ungated baseline row, and a row only
+        // the current run has.
+        let base = report(vec![entry("serve/gone", 100), entry("zero", 0)]);
         let cur = report(vec![entry("new", 1), entry("zero", 999)]);
         assert!(compare_reports(&base, &cur, 0.25).is_empty());
+    }
+
+    #[test]
+    fn compare_fails_a_missing_baseline_row_unless_ungated() {
+        let base = report(vec![
+            entry("kept", 100),
+            entry("dropped", 100),
+            entry("dropped_zero", 0),
+            entry("serve/not_rerun", 100),
+        ]);
+        let cur = report(vec![entry("kept", 100)]);
+        assert_eq!(
+            compare_reports(&base, &cur, 0.25),
+            vec![
+                GateFailure::Missing("dropped".into()),
+                GateFailure::Missing("dropped_zero".into()),
+            ]
+        );
     }
 
     #[test]

@@ -170,19 +170,6 @@ impl CoolAir {
         self.optimizer.select(&self.model, &self.cfg, readings, prev, band, &self.active_pods)
     }
 
-    /// Resizes the Cooling Optimizer's prediction memo; `0` disables
-    /// memoization (useful for A/B-testing that the cache changes nothing,
-    /// which `tests/prediction_properties.rs` does for whole annual runs).
-    pub fn set_prediction_memo_capacity(&mut self, capacity: usize) {
-        self.optimizer.set_memo_capacity(capacity);
-    }
-
-    /// Prediction-memo hit/miss counters accumulated so far.
-    #[must_use]
-    pub fn prediction_memo_stats(&self) -> crate::manager::optimizer::MemoStats {
-        self.optimizer.memo_stats()
-    }
-
     /// Sizes the active server set for the current `demand` (servers of
     /// work available) and returns `(target, priority order)`. Also updates
     /// which pods count as active for the utility function.

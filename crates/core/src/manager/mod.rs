@@ -10,7 +10,7 @@ pub mod utility;
 
 pub use band::TempBand;
 pub use configurer::ParasolConfigurer;
-pub use optimizer::{CoolingOptimizer, Decision, MemoStats, SelectError};
+pub use optimizer::{CoolingOptimizer, Decision, SelectError};
 pub use predictor::{predict_regime, Prediction, PredictionContext};
 pub use supervisor::{SupervisedCoolAir, SupervisorConfig, SupervisorMode, SupervisorTelemetry};
 pub use utility::utility_penalty;

@@ -1,7 +1,5 @@
 //! The Cooling Optimizer (§3.2): pick the best regime for the next period.
 
-use std::collections::HashMap;
-
 use coolair_telemetry::Telemetry;
 use coolair_thermal::{CoolingRegime, Infrastructure, SensorReadings};
 use serde::{Deserialize, Serialize};
@@ -47,110 +45,17 @@ impl std::fmt::Display for SelectError {
 
 impl std::error::Error for SelectError {}
 
-/// Exact-bit memo key for one control tick: every input that flows into a
-/// prediction, with each `f64` captured as its raw bit pattern.
-///
-/// "Quantization" here is the identity map onto bits — **no rounding** — so
-/// two readings collide only when every input is bit-for-bit equal, in
-/// which case the cached predictions are exactly what re-prediction would
-/// produce. That is why the memo cannot change results (the property test
-/// `memo_on_off_annual_summaries_identical` holds by construction). The
-/// steady-state ticks Smooth-Sim spends most of a quiet day in repeat the
-/// same snapshot bits, which is what makes the cache pay off.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    /// Current per-pod inlets.
-    inlets: Vec<u64>,
-    /// Previous per-pod inlets (empty when no usable previous snapshot —
-    /// the context then starts from `inlets`, so the key still pins the
-    /// full start state).
-    prev_inlets: Vec<u64>,
-    /// Cold-aisle absolute humidity.
-    w_in: u64,
-    /// Outside temperature.
-    t_out: u64,
-    /// Outside absolute humidity.
-    w_out: u64,
-    /// Datacenter utilization.
-    util: u64,
-    /// The regime currently applied (start class + previous fan speed both
-    /// derive from it).
-    start_fan: u64,
-    start_comp: u64,
-    start_closed: bool,
-    /// Prediction-horizon shape (changes with `CoolAirConfig` overrides).
-    substeps: usize,
-    period_secs: u64,
-}
-
-impl MemoKey {
-    fn for_tick(
-        cfg: &CoolAirConfig,
-        readings: &SensorReadings,
-        prev: Option<&SensorReadings>,
-        pods: usize,
-    ) -> Self {
-        let prev_inlets = match prev {
-            Some(p) if p.pod_inlets.len() == pods => {
-                p.pod_inlets.iter().map(|t| t.value().to_bits()).collect()
-            }
-            _ => Vec::new(),
-        };
-        MemoKey {
-            inlets: readings.pod_inlets.iter().map(|t| t.value().to_bits()).collect(),
-            prev_inlets,
-            w_in: readings.cold_aisle_abs.grams_per_kg().to_bits(),
-            t_out: readings.outside_temp.value().to_bits(),
-            w_out: readings.outside_abs.grams_per_kg().to_bits(),
-            util: readings.active_fraction.to_bits(),
-            start_fan: readings.regime.fan_speed().fraction().to_bits(),
-            start_comp: readings.regime.compressor().to_bits(),
-            start_closed: matches!(readings.regime, CoolingRegime::Closed),
-            substeps: cfg.substeps(),
-            period_secs: cfg.control_period.as_secs(),
-        }
-    }
-}
-
-/// Cache-effectiveness counters, mirrored into the telemetry registry as
-/// `optimizer.memo_hit` / `optimizer.memo_miss` (and from there onto the
-/// daemon's `/metrics` endpoint).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Ticks answered from the cache.
-    pub hits: u64,
-    /// Ticks that had to predict every candidate.
-    pub misses: u64,
-}
-
-/// Default number of distinct ticks the prediction memo retains before it
-/// resets (steady-state reuse needs only a handful; the bound keeps a
-/// volatile day from growing the map without limit).
-pub const DEFAULT_MEMO_CAPACITY: usize = 256;
-
 /// Evaluates every candidate regime the infrastructure offers and returns
 /// the one with the lowest utility penalty; predicted cooling energy breaks
 /// ties, so "do nothing" (closed) wins whenever nothing is at risk.
 ///
-/// Selection is backed by a keyed prediction memo: a tick whose full input
-/// state (readings, previous readings, horizon shape) is bit-identical to
-/// one already seen reuses that tick's candidate predictions instead of
-/// re-running the model — the common case in Smooth-Sim's quiet
-/// steady-state stretches. The memo assumes the `CoolingModel` passed to
-/// [`CoolingOptimizer::select`] is stable for the optimizer's lifetime (as
-/// it is inside `CoolAir`); it self-invalidates if a different model
-/// instance shows up.
+/// Every candidate of a tick is predicted through one shared
+/// [`PredictionContext`], which rolls each distinct regime forward once.
 #[derive(Debug, Clone)]
 pub struct CoolingOptimizer {
     profile: UtilityProfile,
     infra: Infrastructure,
     telemetry: Telemetry,
-    memo: HashMap<MemoKey, Vec<Prediction>>,
-    memo_capacity: usize,
-    memo_stats: MemoStats,
-    /// Identity tag (address) of the model the memo was filled against —
-    /// compared, never dereferenced.
-    memo_model: Option<usize>,
 }
 
 impl CoolingOptimizer {
@@ -158,21 +63,12 @@ impl CoolingOptimizer {
     /// infrastructure.
     #[must_use]
     pub fn new(profile: UtilityProfile, infra: Infrastructure) -> Self {
-        CoolingOptimizer {
-            profile,
-            infra,
-            telemetry: Telemetry::disabled(),
-            memo: HashMap::new(),
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
-            memo_stats: MemoStats::default(),
-            memo_model: None,
-        }
+        CoolingOptimizer { profile, infra, telemetry: Telemetry::disabled() }
     }
 
     /// Attaches a telemetry bus; selections are wrapped in the
-    /// `optimizer.select` profiling scope, each candidate prediction in
-    /// `model.predict_regime`, and memo effectiveness lands on the
-    /// `optimizer.memo_hit` / `optimizer.memo_miss` counters.
+    /// `optimizer.select` profiling scope and each candidate prediction in
+    /// `model.predict_regime`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -181,20 +77,6 @@ impl CoolingOptimizer {
     #[must_use]
     pub fn profile(&self) -> &UtilityProfile {
         &self.profile
-    }
-
-    /// Resizes the prediction memo; `0` disables memoization entirely.
-    /// Existing entries are dropped.
-    pub fn set_memo_capacity(&mut self, capacity: usize) {
-        self.memo_capacity = capacity;
-        self.memo.clear();
-        self.memo.shrink_to_fit();
-    }
-
-    /// Hit/miss counts accumulated so far.
-    #[must_use]
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo_stats
     }
 
     /// Selects the best regime for the next control period.
@@ -225,41 +107,14 @@ impl CoolingOptimizer {
             return Err(SelectError::NoCandidates);
         }
 
-        // A memo filled against a different model instance is garbage.
-        let model_tag = std::ptr::from_ref(model) as usize;
-        if self.memo_model != Some(model_tag) {
-            self.memo.clear();
-            self.memo_model = Some(model_tag);
-        }
-
-        let uncached: Vec<Prediction>;
-        let predictions: &[Prediction] = if self.memo_capacity == 0 {
-            uncached = Self::predict_all(
-                model, cfg, self.infra, readings, prev, &candidates, &self.telemetry,
-            );
-            &uncached
-        } else {
-            let key = MemoKey::for_tick(cfg, readings, prev, model.pods());
-            if !self.memo.contains_key(&key) && self.memo.len() >= self.memo_capacity {
-                // Deterministic wholesale reset: cheaper and
-                // order-independent compared to tracking recency.
-                self.memo.clear();
-            }
-            match self.memo.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.memo_stats.hits += 1;
-                    self.telemetry.counter_add("optimizer.memo_hit", 1);
-                    e.into_mut()
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.memo_stats.misses += 1;
-                    self.telemetry.counter_add("optimizer.memo_miss", 1);
-                    v.insert(Self::predict_all(
-                        model, cfg, self.infra, readings, prev, &candidates, &self.telemetry,
-                    ))
-                }
-            }
-        };
+        let mut ctx = PredictionContext::new(model, cfg, self.infra, readings, prev);
+        let mut predictions: Vec<Prediction> = candidates
+            .iter()
+            .map(|&c| {
+                let _predict_scope = self.telemetry.time_scope("model.predict_regime");
+                ctx.predict(c)
+            })
+            .collect();
 
         let mut best: Option<(usize, f64)> = None;
         for (i, (&candidate, prediction)) in
@@ -283,29 +138,9 @@ impl CoolingOptimizer {
         Ok(Decision {
             regime: candidates[i],
             penalty,
-            prediction: predictions[i].clone(),
+            prediction: predictions.swap_remove(i),
             candidates: n,
         })
-    }
-
-    /// Predicts every candidate through one shared [`PredictionContext`].
-    fn predict_all(
-        model: &CoolingModel,
-        cfg: &CoolAirConfig,
-        infra: Infrastructure,
-        readings: &SensorReadings,
-        prev: Option<&SensorReadings>,
-        candidates: &[CoolingRegime],
-        telemetry: &Telemetry,
-    ) -> Vec<Prediction> {
-        let mut ctx = PredictionContext::new(model, cfg, infra, readings, prev);
-        candidates
-            .iter()
-            .map(|&c| {
-                let _predict_scope = telemetry.time_scope("model.predict_regime");
-                ctx.predict(c)
-            })
-            .collect()
     }
 }
 
@@ -435,87 +270,6 @@ mod tests {
         let a = opt.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
         let b = opt.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
         assert_eq!(a.regime, b.regime);
-    }
-
-    #[test]
-    fn memo_hits_repeated_tick_and_exports_counters() {
-        let m = model();
-        let cfg = CoolAirConfig::default();
-        let mut opt = CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Smooth);
-        let telemetry = Telemetry::memory();
-        opt.set_telemetry(telemetry.clone());
-        let band = TempBand::new(Celsius::new(20.0), Celsius::new(25.0));
-        let r = readings(24.0, 12.0, 45.0);
-
-        let a = opt.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-        let b = opt.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-        assert_eq!(a, b, "cached tick must replay the identical decision");
-        assert_eq!(opt.memo_stats(), MemoStats { hits: 1, misses: 1 });
-
-        // A different tick misses.
-        let r2 = readings(24.5, 12.0, 45.0);
-        let _ = opt.select(&m, &cfg, &r2, None, Some(band), &[true; 4]).unwrap();
-        assert_eq!(opt.memo_stats(), MemoStats { hits: 1, misses: 2 });
-
-        // Counters flow through the telemetry registry (and from there to
-        // the daemon's /metrics encoder).
-        let metrics = telemetry.metrics();
-        assert_eq!(metrics.counter("optimizer.memo_hit"), 1);
-        assert_eq!(metrics.counter("optimizer.memo_miss"), 2);
-    }
-
-    #[test]
-    fn memo_capacity_zero_disables_caching() {
-        let m = model();
-        let cfg = CoolAirConfig::default();
-        let mut opt = CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Parasol);
-        opt.set_memo_capacity(0);
-        let band = TempBand::new(Celsius::new(20.0), Celsius::new(25.0));
-        let r = readings(24.0, 12.0, 45.0);
-        let a = opt.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-        let b = opt.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(opt.memo_stats(), MemoStats::default(), "no cache activity when disabled");
-    }
-
-    #[test]
-    fn memoized_decision_matches_memo_off_decision() {
-        let m = model();
-        let cfg = CoolAirConfig::default();
-        let band = TempBand::new(Celsius::new(22.0), Celsius::new(27.0));
-        for (inlet, outside) in [(21.0, 5.0), (26.0, 15.0), (29.5, 36.0)] {
-            let r = readings(inlet, outside, 45.0);
-            let mut cached =
-                CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Smooth);
-            let mut uncached =
-                CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Smooth);
-            uncached.set_memo_capacity(0);
-            // Warm the cache, then compare the cached replay to a fresh
-            // prediction pass.
-            let _ = cached.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-            let warm = cached.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-            let cold = uncached.select(&m, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-            assert_eq!(warm, cold, "memo changed the decision at inlet {inlet}");
-        }
-    }
-
-    #[test]
-    fn memo_invalidates_when_model_changes() {
-        let m1 = model();
-        let m2 = m1.clone();
-        let cfg = CoolAirConfig::default();
-        let mut opt = CoolingOptimizer::new(Version::AllNd.utility(&cfg), Infrastructure::Parasol);
-        let band = TempBand::new(Celsius::new(20.0), Celsius::new(25.0));
-        let r = readings(24.0, 12.0, 45.0);
-        let _ = opt.select(&m1, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-        // Same readings against a different model instance: the memo must
-        // not replay m1's predictions.
-        let _ = opt.select(&m2, &cfg, &r, None, Some(band), &[true; 4]).unwrap();
-        assert_eq!(
-            opt.memo_stats(),
-            MemoStats { hits: 0, misses: 2 },
-            "a different model instance must invalidate the memo"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! passing the results of the previous use as input)."
 
 use coolair_thermal::{CoolingRegime, Infrastructure, ModelKey, PodId, RegimeClass, SensorReadings};
-use coolair_units::{psychro, AbsoluteHumidity, Celsius, RelativeHumidity};
+use coolair_units::{psychro, AbsoluteHumidity, Celsius, FanSpeed, RelativeHumidity};
 use serde::{Deserialize, Serialize};
 
 use crate::config::CoolAirConfig;
@@ -87,9 +87,15 @@ struct PredictScratch {
 /// }
 /// ```
 ///
+/// Interpolated candidates (the smooth infrastructure's partial
+/// compressor speeds and sub-15 % fans) blend two roll-forwards of four
+/// fixed anchor regimes. Each anchor is rolled forward once per context and
+/// cached, so the 20 smooth candidates cost 11 distinct roll-forwards
+/// instead of 29; on Parasol nothing blends and nothing is cached.
+///
 /// Predictions are bit-identical to the original single-shot
 /// `predict_regime` (enforced by a property test): the same arithmetic runs
-/// on the same values, only the buffer reuse differs.
+/// on the same values, only the buffer reuse and the anchor cache differ.
 #[derive(Debug)]
 pub struct PredictionContext<'a> {
     model: &'a CoolingModel,
@@ -111,6 +117,20 @@ pub struct PredictionContext<'a> {
     substeps: usize,
     period_hours: f64,
     scratch: PredictScratch,
+    /// Anchor roll-forwards done so far this tick, keyed by regime.
+    anchors: Vec<(CoolingRegime, Prediction)>,
+}
+
+/// The regimes interpolated candidates blend between: AC fan-only and
+/// compressor-on for partial compressor speeds, closed and the 15 % fan for
+/// sub-15 % fans.
+fn blend_anchors() -> [CoolingRegime; 4] {
+    [
+        CoolingRegime::ac_fan_only(),
+        CoolingRegime::ac_on(),
+        CoolingRegime::Closed,
+        CoolingRegime::free_cooling(FanSpeed::PARASOL_MIN),
+    ]
 }
 
 impl<'a> PredictionContext<'a> {
@@ -153,6 +173,7 @@ impl<'a> PredictionContext<'a> {
                 max_temps: vec![0.0; pods],
                 sum_temps: vec![0.0; pods],
             },
+            anchors: Vec::new(),
         }
     }
 
@@ -172,9 +193,9 @@ impl<'a> PredictionContext<'a> {
             self.infra == Infrastructure::Smooth && comp > 0.0 && comp < 1.0;
 
         if interpolate_ac {
-            let off = self.predict_single(CoolingRegime::ac_fan_only());
-            let on = self.predict_single(CoolingRegime::ac_on());
-            return blend(&off, &on, comp, self.model, self.cfg);
+            let off = self.anchor(CoolingRegime::ac_fan_only());
+            let on = self.anchor(CoolingRegime::ac_on());
+            return blend(&self.anchors[off].1, &self.anchors[on].1, comp, self.model, self.cfg);
         }
 
         // Fan speeds below Parasol's 15 % minimum have no training data; a
@@ -185,20 +206,36 @@ impl<'a> PredictionContext<'a> {
         // the free-cooling model at the 15 % floor — the §5.1
         // "extrapolating the earlier models to lower speeds" step.
         let fan = candidate.fan_speed().fraction();
-        let floor = coolair_units::FanSpeed::PARASOL_MIN.fraction();
+        let floor = FanSpeed::PARASOL_MIN.fraction();
         if matches!(candidate, CoolingRegime::FreeCooling { .. }) && fan > 0.0 && fan < floor {
-            let closed = self.predict_single(CoolingRegime::Closed);
-            let fc_floor = self
-                .predict_single(CoolingRegime::free_cooling(coolair_units::FanSpeed::PARASOL_MIN));
+            let closed = self.anchor(CoolingRegime::Closed);
+            let fc_floor = self.anchor(CoolingRegime::free_cooling(FanSpeed::PARASOL_MIN));
             let w = fan / floor;
-            let mut out = blend(&closed, &fc_floor, w, self.model, self.cfg);
+            let mut out =
+                blend(&self.anchors[closed].1, &self.anchors[fc_floor].1, w, self.model, self.cfg);
             // Fan power, not AC power, for this regime family.
             out.energy_kwh = self.model.predict_power(RegimeClass::FreeCooling, fan, 0.0)
                 / 1000.0
                 * self.period_hours;
             return out;
         }
+        // Only the smooth infrastructure blends, so only it shares anchors.
+        if self.infra == Infrastructure::Smooth && blend_anchors().contains(&candidate) {
+            let i = self.anchor(candidate);
+            return self.anchors[i].1.clone();
+        }
         self.predict_single(candidate)
+    }
+
+    /// The index in `anchors` of `regime`'s roll-forward, rolling it
+    /// forward on first use.
+    fn anchor(&mut self, regime: CoolingRegime) -> usize {
+        if let Some(i) = self.anchors.iter().position(|(r, _)| *r == regime) {
+            return i;
+        }
+        let prediction = self.predict_single(regime);
+        self.anchors.push((regime, prediction));
+        self.anchors.len() - 1
     }
 
     fn predict_single(&mut self, candidate: CoolingRegime) -> Prediction {
@@ -222,12 +259,12 @@ impl<'a> PredictionContext<'a> {
         let w_out = self.w_out;
         let util = self.util;
 
+        // The first sub-step uses the transition model, the rest the
+        // candidate's steady model; look each up once, not per sensor.
+        let first = self.model.step_models(ModelKey::for_step(self.start_class, cand_class));
+        let steady = self.model.step_models(ModelKey::Steady(cand_class));
         for step in 0..self.substeps {
-            let key = if step == 0 {
-                ModelKey::for_step(self.start_class, cand_class)
-            } else {
-                ModelKey::Steady(cand_class)
-            };
+            let models = if step == 0 { first } else { steady };
             for p in 0..pods {
                 let x = temp_features(
                     scratch.t_now[p],
@@ -238,7 +275,7 @@ impl<'a> PredictionContext<'a> {
                     fan_prev,
                     util,
                 );
-                let predicted = self.model.predict_temp(key, PodId(p), &x);
+                let predicted = models.temp(PodId(p), &x);
                 // Clamp pathological extrapolations to a sane envelope
                 // around the current state (the model is linear; keep it
                 // honest).
@@ -259,7 +296,7 @@ impl<'a> PredictionContext<'a> {
                 scratch.sum_temps[p] += scratch.next[p];
             }
             let hx = humidity_features(w_now, w_out, fan);
-            w_now = self.model.predict_humidity(key, &hx).clamp(0.0, 40.0);
+            w_now = models.humidity(&hx).clamp(0.0, 40.0);
             // Rotate the buffers: (t_prev, t_now, next) ← (t_now, next, _).
             // `next` is fully overwritten on the following step, so the
             // values flowing through are exactly those of the allocating

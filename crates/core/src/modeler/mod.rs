@@ -19,5 +19,5 @@ pub mod features;
 mod model;
 mod train;
 
-pub use model::{CoolingModel, RegimeModels};
+pub use model::{CoolingModel, RegimeModels, StepModels};
 pub use train::{train_cooling_model, TrainingConfig};

@@ -139,23 +139,24 @@ impl CoolingModel {
         None
     }
 
+    /// Resolves the models for `key` once, for a caller that predicts
+    /// every pod and the humidity sensor under the same key.
+    #[must_use]
+    pub fn step_models(&self, key: ModelKey) -> StepModels<'_> {
+        StepModels(self.models_for(key))
+    }
+
     /// Predicts pod `pod`'s temperature one model step ahead. Falls back to
     /// persistence (no change) when no model covers `key`.
     #[must_use]
     pub fn predict_temp(&self, key: ModelKey, pod: PodId, x: &[f64; features::TEMP_FEATURES]) -> f64 {
-        match self.models_for(key) {
-            Some(m) => m.pod_temp[pod.index()].predict(x),
-            None => x[0], // persistence fallback
-        }
+        self.step_models(key).temp(pod, x)
     }
 
     /// Predicts cold-aisle absolute humidity one step ahead (g/kg).
     #[must_use]
     pub fn predict_humidity(&self, key: ModelKey, x: &[f64; features::HUM_FEATURES]) -> f64 {
-        match self.models_for(key) {
-            Some(m) => m.humidity.predict(x).max(0.0),
-            None => x[0],
-        }
+        self.step_models(key).humidity(x)
     }
 
     /// Predicts cooling power (W) in the regime class of `key` at the given
@@ -165,6 +166,32 @@ impl CoolingModel {
         match self.models.get(&ModelKey::Steady(class)) {
             Some(m) => m.power.predict(fan, compressor),
             None => 0.0,
+        }
+    }
+}
+
+/// The models of one [`ModelKey`], looked up once (see
+/// [`CoolingModel::step_models`]).
+#[derive(Debug, Clone, Copy)]
+pub struct StepModels<'a>(Option<&'a RegimeModels>);
+
+impl StepModels<'_> {
+    /// Pod `pod`'s temperature one model step ahead; persistence (no
+    /// change) when no model covers the key.
+    #[must_use]
+    pub fn temp(self, pod: PodId, x: &[f64; features::TEMP_FEATURES]) -> f64 {
+        match self.0 {
+            Some(m) => m.pod_temp[pod.index()].predict(x),
+            None => x[0], // persistence fallback
+        }
+    }
+
+    /// Cold-aisle absolute humidity one step ahead (g/kg).
+    #[must_use]
+    pub fn humidity(self, x: &[f64; features::HUM_FEATURES]) -> f64 {
+        match self.0 {
+            Some(m) => m.humidity.predict(x).max(0.0),
+            None => x[0],
         }
     }
 }

@@ -151,6 +151,13 @@ impl EventBus {
         logs.insert(id.to_string(), log);
     }
 
+    /// Drops a job's log (a submission that was never queued), waking any
+    /// subscriber so its stream ends.
+    pub fn retract(&self, id: &str) {
+        let subscribers = self.logs.lock().remove(id).map(|log| log.subscribers);
+        self.notify(&subscribers.unwrap_or_default());
+    }
+
     /// Whether a log exists for `id`.
     #[must_use]
     pub fn has_log(&self, id: &str) -> bool {

@@ -314,31 +314,36 @@ fn submit_job(state: &AppState, body: &[u8]) -> Reply {
     if let Some(existing) = state.tracker.get(&id) {
         return Reply::json(200, &existing.to_value());
     }
-    let label = ticket.job.label();
-    match state.queue.try_submit(ticket) {
+    // The record and its queued event exist before the ticket does: an
+    // idle worker takes the ticket at once, and its `running` update finds
+    // nothing to update without them.
+    state.tracker.put(JobRecord {
+        id: id.clone(),
+        label: ticket.job.label(),
+        state: JobState::Queued,
+        error: None,
+        result: None,
+    });
+    // Open the job's event log with the queued record, so an events stream
+    // attached right after submission replays the full lifecycle.
+    crate::jobs::publish_record(&state.bus, &state.tracker, &id, false);
+    let refused = match state.queue.try_submit(ticket) {
         EnqueueOutcome::Accepted => {
-            state.tracker.put(JobRecord {
-                id: id.clone(),
-                label,
-                state: JobState::Queued,
-                error: None,
-                result: None,
-            });
-            // Open the job's event log with the queued record, so an
-            // events stream attached right after submission replays the
-            // full lifecycle.
-            crate::jobs::publish_record(&state.bus, &state.tracker, &id, false);
-            Reply::json(
+            return Reply::json(
                 202,
                 &obj(vec![("id", s(id)), ("state", s(JobState::Queued.as_str()))]),
-            )
+            );
         }
         EnqueueOutcome::Saturated => Reply::Full(
             Response::json(503, &obj(vec![("error", s("job queue full"))]))
                 .with_header("retry-after", "1"),
         ),
         EnqueueOutcome::Draining => Reply::error(503, "daemon is draining"),
-    }
+    };
+    // Never queued: retract the record and its log.
+    state.tracker.remove(&id);
+    state.bus.retract(&id);
+    refused
 }
 
 /// Renders an episode's public status record. `observation` is the cached

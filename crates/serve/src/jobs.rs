@@ -100,6 +100,11 @@ impl JobTracker {
         self.records.lock().insert(record.id.clone(), record);
     }
 
+    /// Removes a record.
+    pub fn remove(&self, id: &str) {
+        self.records.lock().remove(id);
+    }
+
     /// Updates a record in place.
     pub fn update(&self, id: &str, f: impl FnOnce(&mut JobRecord)) {
         if let Some(record) = self.records.lock().get_mut(id) {

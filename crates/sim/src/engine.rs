@@ -5,7 +5,7 @@ use coolair_telemetry::{Event, Telemetry, TEMP_BOUNDS_C};
 use coolair_thermal::{
     CoolingRegime, ItLoad, OutsideConditions, Plant, PlantConfig, SensorReadings, TksController,
 };
-use coolair_units::{Celsius, SimDuration, SimTime, SECS_PER_HOUR};
+use coolair_units::{Celsius, SimDuration, SimTime, Watts, SECS_PER_HOUR};
 use coolair_weather::TmySeries;
 use coolair_workload::{Cluster, Job};
 use serde::{Deserialize, Serialize};
@@ -26,6 +26,9 @@ pub trait Container: std::fmt::Debug {
     );
     /// Sensor snapshot.
     fn readings(&self, now: SimTime) -> SensorReadings;
+    /// Cooling power drawn in the applied regime (the snapshot's
+    /// `cooling_power`).
+    fn cooling_power(&self) -> Watts;
     /// Number of pod sensors.
     fn pods(&self) -> usize;
 }
@@ -42,6 +45,9 @@ impl Container for Plant {
     }
     fn readings(&self, now: SimTime) -> SensorReadings {
         Plant::readings(self, now)
+    }
+    fn cooling_power(&self) -> Watts {
+        Plant::cooling_power(self)
     }
     fn pods(&self) -> usize {
         self.config().layout.len()
@@ -60,6 +66,9 @@ impl Container for crate::ModelPlant {
     }
     fn readings(&self, now: SimTime) -> SensorReadings {
         crate::ModelPlant::readings(self, now)
+    }
+    fn cooling_power(&self) -> Watts {
+        crate::ModelPlant::cooling_power(self)
     }
     fn pods(&self) -> usize {
         crate::ModelPlant::pods(self)
@@ -103,6 +112,13 @@ impl Default for SimConfig {
             warmup_hours: 3,
         }
     }
+}
+
+/// The IT load the cluster presents to the plant. It changes only when the
+/// cluster does (in the compute-management block), so the day loops build
+/// it there rather than at every physics step.
+pub(crate) fn it_load(cluster: &Cluster) -> ItLoad {
+    ItLoad { pod_power: cluster.pod_power(), active_fraction: cluster.active_fraction() }
 }
 
 /// One per-minute sample for figure time series.
@@ -314,6 +330,8 @@ impl<P: Container> Simulation<P> {
             _ => SupervisorTelemetry::default(),
         };
 
+        let dt_s = self.cfg.physics_step.as_secs() as f64;
+        let mut it = it_load(&self.cluster);
         let mut t = start;
         while t < end {
             let in_day = t >= midnight;
@@ -332,18 +350,17 @@ impl<P: Container> Simulation<P> {
                         let demand = self.cluster.demand(t);
                         let covering = self.cluster.config().covering_count;
                         let (target, order) = ca.decide_compute(demand, covering);
-                        let order = order.to_vec();
-                        self.cluster.set_active_target(target, Some(&order));
+                        self.cluster.set_active_target(target, Some(order));
                     }
                     SimController::Supervised(sv) => {
                         let demand = self.cluster.demand(t);
                         let covering = self.cluster.config().covering_count;
                         let (target, order) = sv.decide_compute(demand, covering);
-                        let order = order.to_vec();
-                        self.cluster.set_active_target(target, Some(&order));
+                        self.cluster.set_active_target(target, Some(order));
                     }
                 }
                 self.cluster.step(t, self.cfg.compute_period);
+                it = it_load(&self.cluster);
             }
 
             // --- sensing & control --------------------------------------------
@@ -445,13 +462,8 @@ impl<P: Container> Simulation<P> {
                 temperature: self.tmy.temperature_at(t),
                 abs_humidity: self.tmy.absolute_humidity_at(t),
             };
-            let it = ItLoad {
-                pod_power: self.cluster.pod_power(),
-                active_fraction: self.cluster.active_fraction(),
-            };
             if in_day {
-                let dt_s = self.cfg.physics_step.as_secs() as f64;
-                cooling_j += self.plant.readings(t).cooling_power.value() * dt_s;
+                cooling_j += self.plant.cooling_power().value() * dt_s;
                 it_j += it.total().value() * dt_s;
             }
             // Actuator faults sit between command and plant: the controller

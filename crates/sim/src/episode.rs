@@ -18,7 +18,8 @@
 //! its setpoint and the TKS's own mode/compressor hysteresis picks the
 //! cooling regime at the baseline control cadence, so a policy that always
 //! outputs 30 °C and every server active reproduces the paper's baseline
-//! behaviour. The controller (and the episode's observations) sense through
+//! behaviour (the engine's baseline day, up to summation order; a unit
+//! test pins it). The controller (and the episode's observations) sense through
 //! the fault layer; the reward samples the plant's ground truth, exactly
 //! like the engine's metrics pass.
 //!
@@ -31,7 +32,7 @@
 
 use coolair_runner::{stable_digest, Digest};
 use coolair_thermal::{
-    CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig, SensorReadings,
+    CoolingRegime, Infrastructure, OutsideConditions, Plant, PlantConfig, SensorReadings,
     TksConfig, TksController,
 };
 use coolair_units::{Celsius, SimDuration, SimTime, SECS_PER_HOUR};
@@ -40,6 +41,7 @@ use coolair_workload::{Cluster, ClusterConfig, Job, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::annual::{build_trace, AnnualConfig};
+use crate::engine::it_load;
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
 
@@ -474,6 +476,10 @@ impl Episode {
         let mut cooling_j = 0.0;
         let mut it_j = 0.0;
         let day = SimDuration::from_days(1);
+        let dt_s = self.engine.physics_step.as_secs() as f64;
+        // The episode resumes mid-stream: the load in force is the one the
+        // last compute block left.
+        let mut it = it_load(&self.cluster);
         while self.t < until {
             let t = self.t;
             // Crossing a midnight inside the horizon loads that day's jobs.
@@ -502,6 +508,7 @@ impl Episode {
                 }
                 self.cluster.set_active_target(self.active_target, None);
                 self.cluster.step(t, self.engine.compute_period);
+                it = it_load(&self.cluster);
             }
 
             if (t % self.engine.baseline_control).is_zero() {
@@ -520,13 +527,8 @@ impl Episode {
                 temperature: self.tmy.temperature_at(t),
                 abs_humidity: self.tmy.absolute_humidity_at(t),
             };
-            let it = ItLoad {
-                pod_power: self.cluster.pod_power(),
-                active_fraction: self.cluster.active_fraction(),
-            };
             if record {
-                let dt_s = self.engine.physics_step.as_secs() as f64;
-                cooling_j += self.plant.readings(t).cooling_power.value() * dt_s;
+                cooling_j += self.plant.cooling_power().value() * dt_s;
                 it_j += it.total().value() * dt_s;
             }
             let actual = self.faults.apply_actuator(t, self.regime);
@@ -724,6 +726,51 @@ mod tests {
         // Both days carry workload: IT energy flows in late windows too.
         let late_kwh: f64 = traj[6..].iter().map(|s| s.reward.energy_kwh).sum();
         assert!(late_kwh > 5.0, "day 2 must be loaded, got {late_kwh} kWh");
+    }
+
+    /// The module doc's claim: a 30 °C / all-servers policy reproduces the
+    /// baseline. The episode sums its rewards per decision window and the
+    /// engine sums the whole day at once, so only the summation order may
+    /// differ.
+    #[test]
+    fn baseline_action_episode_reproduces_the_engine_baseline_day() {
+        use crate::annual::{run_days_traced, SystemSpec};
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for (location, day) in
+            [(Location::newark(), 150), (Location::chad(), 120), (Location::iceland(), 30)]
+        {
+            let spec = EpisodeSpec { start_day: day, ..EpisodeSpec::nominal(location.clone()) };
+            let mut ep = Episode::new(&spec).unwrap();
+            while !ep.is_done() {
+                ep.step(&Action::baseline(ep.total_servers())).unwrap();
+            }
+            let engine = run_days_traced(
+                &SystemSpec::Baseline,
+                &location,
+                spec.scenario.trace,
+                &spec.effective_annual(),
+                None,
+                &[day],
+                coolair_telemetry::Telemetry::disabled(),
+            );
+            let want = &engine.days()[0];
+            let got = ep.total_reward();
+            let name = location.name();
+            assert!(
+                close(got.violation_cmin, want.violation_sum),
+                "{name}: violation {} vs {}",
+                got.violation_cmin,
+                want.violation_sum
+            );
+            assert!(close(ep.cooling_kwh(), want.cooling_kwh), "{name}: cooling kWh");
+            assert!(close(ep.it_kwh(), want.it_kwh), "{name}: IT kWh");
+            assert!(
+                close(got.energy_kwh, want.cooling_kwh + want.it_kwh),
+                "{name}: energy {} vs {}",
+                got.energy_kwh,
+                want.cooling_kwh + want.it_kwh
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub struct ModelPlant {
     regime: CoolingRegime,
     prev_fan: f64,
     last_outside: OutsideConditions,
-    last_it: ItLoad,
+    /// Total and active fraction of the last IT load (for snapshots).
+    last_it_power: Watts,
+    last_active_fraction: f64,
     /// Model step (the models are trained at 2-minute resolution).
     step: SimDuration,
     /// Time left until the next whole model step.
@@ -57,7 +59,8 @@ impl ModelPlant {
                 temperature: Celsius::new(20.0),
                 abs_humidity: start_abs,
             },
-            last_it: ItLoad::uniform(pods, Watts::ZERO, 0.0),
+            last_it_power: Watts::ZERO,
+            last_active_fraction: 0.0,
             step: SimDuration::from_minutes(2),
             carry: SimDuration::ZERO,
         }
@@ -89,7 +92,8 @@ impl ModelPlant {
         let target = self.infra.sanitize(commanded);
         self.carry += dt;
         self.last_outside = outside;
-        self.last_it = it.clone();
+        self.last_it_power = it.total();
+        self.last_active_fraction = it.active_fraction;
         while self.carry >= self.step {
             self.carry = self.carry - self.step;
             self.advance_one(outside, it, target);
@@ -158,6 +162,13 @@ impl ModelPlant {
         self.regime
     }
 
+    /// Cooling power drawn in the applied regime (the snapshot's
+    /// `cooling_power`, without building the snapshot).
+    #[must_use]
+    pub fn cooling_power(&self) -> Watts {
+        cooling_power(self.regime, self.infra)
+    }
+
     /// Sensor snapshot in the same shape the physics plant produces.
     #[must_use]
     pub fn readings(&self, now: SimTime) -> SensorReadings {
@@ -182,9 +193,9 @@ impl ModelPlant {
                 .map(|&t| Celsius::new(t + 8.0))
                 .collect(),
             regime: self.regime,
-            cooling_power: cooling_power(self.regime, self.infra),
-            it_power: self.last_it.total(),
-            active_fraction: self.last_it.active_fraction,
+            cooling_power: self.cooling_power(),
+            it_power: self.last_it_power,
+            active_fraction: self.last_active_fraction,
         }
     }
 }

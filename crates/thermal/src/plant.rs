@@ -194,8 +194,10 @@ pub struct PlantBank {
     applied: Vec<CoolingRegime>,
     /// Last outside conditions per lane (for sensor snapshots).
     last_outside: Vec<OutsideConditions>,
-    /// Last IT load per lane (for sensor snapshots).
-    last_it: Vec<ItLoad>,
+    /// Total of the last IT load per lane (for sensor snapshots).
+    last_it_power: Vec<Watts>,
+    /// Active fraction of the last IT load per lane (for sensor snapshots).
+    last_active_fraction: Vec<f64>,
 }
 
 impl PlantBank {
@@ -220,7 +222,8 @@ impl PlantBank {
                 };
                 lanes
             ],
-            last_it: vec![ItLoad::uniform(pods, Watts::ZERO, 0.0); lanes],
+            last_it_power: vec![Watts::ZERO; lanes],
+            last_active_fraction: vec![0.0; lanes],
             config,
             lanes,
             pods,
@@ -438,7 +441,15 @@ impl PlantBank {
         }
 
         self.last_outside[lane] = outside;
-        self.last_it[lane] = it.clone();
+        self.last_it_power[lane] = it.total();
+        self.last_active_fraction[lane] = it.active_fraction;
+    }
+
+    /// The cooling power `lane` draws in its applied regime — the
+    /// `cooling_power` field of [`PlantBank::readings_lane`], without the
+    /// rest of the snapshot.
+    fn cooling_power_lane(&self, lane: usize) -> Watts {
+        cooling_power(self.applied[lane], self.config.infrastructure)
     }
 
     /// A snapshot of one lane's sensors, stamped with `now`.
@@ -465,9 +476,9 @@ impl PlantBank {
             hot_aisle: Celsius::new(self.hot_aisle[lane]),
             disk_temps: disk_temps.iter().map(|&t| Celsius::new(t)).collect(),
             regime: self.applied[lane],
-            cooling_power: cooling_power(self.applied[lane], self.config.infrastructure),
-            it_power: self.last_it[lane].total(),
-            active_fraction: self.last_it[lane].active_fraction,
+            cooling_power: self.cooling_power_lane(lane),
+            it_power: self.last_it_power[lane],
+            active_fraction: self.last_active_fraction[lane],
         }
     }
 }
@@ -532,6 +543,13 @@ impl Plant {
     #[must_use]
     pub fn readings(&self, now: SimTime) -> SensorReadings {
         self.bank.readings_lane(0, now)
+    }
+
+    /// The cooling power drawn in the applied regime (the snapshot's
+    /// `cooling_power`, without building the snapshot).
+    #[must_use]
+    pub fn cooling_power(&self) -> Watts {
+        self.bank.cooling_power_lane(0)
     }
 }
 

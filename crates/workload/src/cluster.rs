@@ -359,16 +359,18 @@ impl Cluster {
     /// fraction from the last step.
     #[must_use]
     pub fn pod_power(&self) -> Vec<Watts> {
+        // Every server draws one of three values; evaluate each once.
+        let active = coolair_thermal_server_power(self.last_busy_fraction, false);
+        let idle = coolair_thermal_server_power(0.0, false);
+        let asleep = coolair_thermal_server_power(0.0, true);
+        let per_pod = self.config.servers_per_pod();
         let mut pods = vec![Watts::ZERO; self.config.pods];
         for (s, slot) in self.servers.iter().enumerate() {
-            let p = match slot.state {
-                PowerState::Active => {
-                    coolair_thermal_server_power(self.last_busy_fraction, false)
-                }
-                PowerState::Decommissioned => coolair_thermal_server_power(0.0, false),
-                PowerState::Sleep => coolair_thermal_server_power(0.0, true),
+            pods[s / per_pod] += match slot.state {
+                PowerState::Active => active,
+                PowerState::Decommissioned => idle,
+                PowerState::Sleep => asleep,
             };
-            pods[self.config.pod_of(s)] += p;
         }
         pods
     }

@@ -1,7 +1,6 @@
 //! Property tests for the two-phase prediction engine.
 //!
-//! Two guarantees back the PR that introduced `PredictionContext` and the
-//! optimizer's prediction memo:
+//! Two guarantees back `PredictionContext`:
 //!
 //! 1. **Bit-identity of the refactor** — `PredictionContext::predict` must
 //!    produce the exact bits of the pre-refactor single-shot
@@ -10,15 +9,16 @@
 //!    transcribed verbatim below as `golden::predict_regime` and compared
 //!    field-by-field via `f64::to_bits` across random readings and every
 //!    candidate of both infrastructures, plus off-grid regimes that hit
-//!    the interpolation branches.
-//! 2. **Memo transparency** — the optimizer's candidate memo keys on the
-//!    exact bits of every prediction input, so enabling it must not change
-//!    a single simulated number. A closed-loop day with the memo at its
-//!    default capacity must serialize identically to one with the memo
-//!    disabled.
+//!    the interpolation branches. One context serves every candidate, so
+//!    the per-tick anchor cache is on the compared path.
+//! 2. **Pinned closed-loop days** — two All-ND days on the smooth plant
+//!    serialize to a digest captured before the anchor cache and the day
+//!    loops' hoisted per-step work, so neither can change a simulated
+//!    number.
 
 use coolair_suite::core::manager::predictor::{predict_regime, PredictionContext};
 use coolair_suite::core::{train_cooling_model, CoolAir, CoolAirConfig, TrainingConfig, Version};
+use coolair_suite::runner::stable_digest;
 use coolair_suite::sim::{SimConfig, SimController, Simulation};
 use coolair_suite::thermal::{CoolingRegime, Infrastructure, PlantConfig, SensorReadings};
 use coolair_suite::units::{psychro, Celsius, FanSpeed, RelativeHumidity, SimTime, Watts};
@@ -316,44 +316,31 @@ proptest! {
     }
 }
 
-/// Enabling the prediction memo changes nothing: a closed-loop simulated
-/// day under All-ND serializes identically with the memo at its default
-/// capacity and with it disabled.
+/// A closed-loop All-ND day on the smooth plant serializes to the exact
+/// bytes it did before the per-tick roll-forward cache and the engine's
+/// hoisted per-step work: two Newark days (in different seasons, for
+/// different weather shapes) against a digest of their minute-level JSON.
 #[test]
-fn memo_on_and_off_days_are_identical() {
+fn all_nd_days_match_their_pinned_digest() {
     let location = Location::newark();
     let tmy = TmySeries::generate(&location, 42);
-    let model = {
-        let train_tmy = TmySeries::generate(&location, 42);
-        train_cooling_model(&train_tmy, &TrainingConfig::quick())
-    };
+    let model = train_cooling_model(&tmy, &TrainingConfig::quick());
     let trace = facebook_trace(1);
-
-    let run = |memo_capacity: Option<usize>| {
-        let mut ca = CoolAir::new(
-            Version::AllNd,
-            CoolAirConfig::default(),
-            model.clone(),
-            Forecaster::perfect(tmy.clone()),
-            Infrastructure::Smooth,
-        );
-        if let Some(cap) = memo_capacity {
-            ca.set_prediction_memo_capacity(cap);
-        }
-        let mut sim = Simulation::new(
-            SimController::CoolAir(Box::new(ca)),
-            PlantConfig::smooth(),
-            Cluster::new(ClusterConfig::parasol()),
-            tmy.clone(),
-            SimConfig { record_minutes: true, ..SimConfig::default() },
-        );
-        // Two days in different seasons, for different weather shapes.
-        [21u64, 200u64].map(|day| {
-            serde_json::to_string(&sim.run_day(day, trace.jobs_for_day(day))).unwrap()
-        })
-    };
-
-    let memo_on = run(None); // default capacity, memo active
-    let memo_off = run(Some(0)); // disabled
-    assert_eq!(memo_on, memo_off, "memoization must not change simulated results");
+    let ca = CoolAir::new(
+        Version::AllNd,
+        CoolAirConfig::default(),
+        model,
+        Forecaster::perfect(tmy.clone()),
+        Infrastructure::Smooth,
+    );
+    let mut sim = Simulation::new(
+        SimController::CoolAir(Box::new(ca)),
+        PlantConfig::smooth(),
+        Cluster::new(ClusterConfig::parasol()),
+        tmy,
+        SimConfig { record_minutes: true, ..SimConfig::default() },
+    );
+    let days = [21u64, 200u64].map(|day| sim.run_day(day, trace.jobs_for_day(day)));
+    let digest = stable_digest(&days).to_string();
+    assert_eq!(digest, "fa3d95e809fa12ce", "simulated days changed");
 }

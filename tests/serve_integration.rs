@@ -403,6 +403,63 @@ fn job_event_stream_replays_the_lifecycle_and_ends_on_the_final_record() {
     });
 }
 
+/// An idle worker takes a ticket the moment it is queued, so the job's
+/// record and `queued` event must exist before the enqueue: otherwise the
+/// worker's `running` update finds no record and is lost (and a job that
+/// finishes inside that window stays `queued` for good). One-day jobs,
+/// each submitted to an idle daemon, keep that window as tight as it gets.
+#[test]
+fn every_job_submitted_to_an_idle_daemon_streams_queued_running_done() {
+    use std::io::Write as _;
+    let server = Server::bind(test_config(), Telemetry::discard()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    // Streams are collected and checked after shutdown: a panic inside the
+    // scope would leave `server.run()` waiting for a shutdown forever.
+    let streams: Vec<Result<Vec<String>, String>> = std::thread::scope(|s| {
+        s.spawn(|| server.run());
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let streams = (0..8)
+            .map(|seed| {
+                let mut job = quick_job();
+                job.annual.stride = 400; // day 0 only
+                job.annual.weather_seed = 1000 + seed;
+                let resp = client.post_json("/jobs", &job).map_err(|e| e.to_string())?;
+                if resp.status != 202 {
+                    return Err(format!("submit answered {}", resp.status));
+                }
+                let Some(Value::Str(id)) = body_json(&resp.body).get("id").cloned() else {
+                    return Err("accepted reply has no id".to_string());
+                };
+                // The log keeps every line, so a stream opened after the
+                // job ran still replays its whole lifecycle; it ends at the
+                // terminal record (a lost `done` stalls it until the read
+                // timeout).
+                let mut raw = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+                raw.set_read_timeout(Some(Duration::from_secs(10))).map_err(|e| e.to_string())?;
+                let request = format!("GET /jobs/{id}/events HTTP/1.1\r\nhost: t\r\n\r\n");
+                raw.write_all(request.as_bytes()).map_err(|e| e.to_string())?;
+                let stream = coolair_suite::serve::http::read_response(&mut raw)
+                    .map_err(|e| format!("stream of {id} did not end: {e}"))?;
+                let text = String::from_utf8_lossy(&stream.body).into_owned();
+                let state = |line: &str| {
+                    let event = serde_json::from_str::<Value>(line).ok();
+                    match event.and_then(|v| v.get("state").cloned()) {
+                        Some(Value::Str(state)) => state,
+                        _ => format!("<no state: {line}>"),
+                    }
+                };
+                Ok(text.lines().filter(|l| !l.is_empty()).map(state).collect())
+            })
+            .collect();
+        shutdown(addr);
+        streams
+    });
+    let lifecycle: Vec<String> = ["queued", "running", "done"].map(String::from).into();
+    for (seed, states) in streams.into_iter().enumerate() {
+        assert_eq!(states, Ok(lifecycle.clone()), "job {seed}");
+    }
+}
+
 /// Malformed bytes on a fresh socket: the daemon answers 4xx and closes,
 /// and stays healthy for the next client.
 #[test]
