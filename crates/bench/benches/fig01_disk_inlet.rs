@@ -60,10 +60,8 @@ fn main() {
             corr_in.push(r.outside_temp.value(), r.mean_inlet().value());
             corr_disk.push(r.outside_temp.value(), disk_hi);
         }
-        let outside = OutsideConditions {
-            temperature: tmy.temperature_at(t),
-            abs_humidity: tmy.absolute_humidity_at(t),
-        };
+        let (temperature, abs_humidity) = tmy.outside_at(t);
+        let outside = OutsideConditions { temperature, abs_humidity };
         plant.step(dt, outside, &it, regime);
         t += dt;
     }

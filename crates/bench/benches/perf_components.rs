@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths: plant physics steps, the
-//! learned-model prediction, the Cooling Optimizer's decision, M5P
-//! training, and a full closed-loop simulated day.
+//! cluster's compute tick, the learned-model prediction, the Cooling
+//! Optimizer's decision, M5P training, and full closed-loop simulated days
+//! (the baseline and All-ND on the smooth plant).
 //!
 //! Besides the usual stdout lines, this bench writes `BENCH_perf.json` at
 //! the repo root — a machine-readable record of the median ns/iter for each
@@ -8,13 +9,14 @@
 //! The schema is documented in EXPERIMENTS.md.
 
 use criterion::{criterion_group, Criterion};
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 use coolair::manager::band::TempBand;
 use coolair_runner::{stable_digest, Digest, Executor, Job, Telemetry};
 use coolair::manager::optimizer::CoolingOptimizer;
 use coolair::manager::predict_regime;
-use coolair::{train_cooling_model, CoolAirConfig, TrainingConfig, Version};
+use coolair::{train_cooling_model, CoolAir, CoolAirConfig, TrainingConfig, Version};
 use coolair_ml::{Dataset, M5pConfig, ModelTree};
 use coolair_sim::{
     sweep_one_with_model, train_for_location, AnnualConfig, SimConfig, SimController, Simulation,
@@ -24,7 +26,7 @@ use coolair_thermal::{
     TksController,
 };
 use coolair_units::{psychro, Celsius, FanSpeed, RelativeHumidity, SimDuration, SimTime, Watts};
-use coolair_weather::{Location, TmySeries, WorldGrid};
+use coolair_weather::{Forecaster, Location, TmySeries, WorldGrid};
 use coolair_workload::{facebook_trace, Cluster, ClusterConfig};
 
 fn bench_plant_step(c: &mut Criterion) {
@@ -40,6 +42,39 @@ fn bench_plant_step(c: &mut Criterion) {
             plant.step(SimDuration::from_secs(15), black_box(outside), &it, regime);
         });
     });
+}
+
+fn bench_cluster_compute_tick(c: &mut Criterion) {
+    // One simulated minute of compute management as the day loops run it:
+    // submit the jobs that arrived, size the active set to demand, step the
+    // cluster, refresh the IT load in place. Day 100 of the Facebook trace
+    // is replayed from midnight to noon first, so the timed ticks see a
+    // midday queue.
+    let mut pending: VecDeque<coolair_workload::Job> = {
+        let mut jobs = facebook_trace(1).jobs_for_day(100);
+        jobs.sort_by_key(|j| j.submit);
+        jobs.into()
+    };
+    let mut cluster = Cluster::new(ClusterConfig::parasol());
+    let minute = SimDuration::from_minutes(1);
+    let mut now = SimTime::from_days(100);
+    let mut it = ItLoad::uniform(4, Watts::ZERO, 1.0);
+    let mut tick = || {
+        while let Some(job) = pending.pop_front_if(|j| j.submit <= now) {
+            cluster.submit(job);
+        }
+        let target = cluster.demand(now).max(cluster.config().covering_count);
+        cluster.set_active_target(target);
+        cluster.step(now, minute);
+        cluster.write_pod_power(&mut it.pod_power);
+        it.active_fraction = cluster.active_fraction();
+        black_box(&it);
+        now += minute;
+    };
+    for _ in 0..12 * 60 {
+        tick();
+    }
+    c.bench_function("cluster_compute_tick", |b| b.iter(&mut tick));
 }
 
 fn bench_model_predict(c: &mut Criterion) {
@@ -133,6 +168,28 @@ fn bench_day_sim(c: &mut Criterion) {
             black_box(sim.run_day(100, trace.jobs_for_day(100)));
         });
     });
+    // The same day under All-ND on the smooth plant: the predictor, the
+    // optimizer and the compute manager on top of the baseline's loop.
+    let model = train_cooling_model(&tmy, &TrainingConfig::quick());
+    group.bench_function("all_nd_smooth_full_day", |b| {
+        b.iter(|| {
+            let coolair = CoolAir::new(
+                Version::AllNd,
+                CoolAirConfig::default(),
+                model.clone(),
+                Forecaster::perfect(tmy.clone()),
+                Infrastructure::Smooth,
+            );
+            let mut sim = Simulation::new(
+                SimController::CoolAir(Box::new(coolair)),
+                PlantConfig::smooth(),
+                Cluster::new(ClusterConfig::parasol()),
+                tmy.clone(),
+                SimConfig::default(),
+            );
+            black_box(sim.run_day(100, trace.jobs_for_day(100)));
+        });
+    });
     group.finish();
 }
 
@@ -169,6 +226,7 @@ fn bench_executor_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_plant_step,
+    bench_cluster_compute_tick,
     bench_model_predict,
     bench_optimizer_batched,
     bench_m5p,

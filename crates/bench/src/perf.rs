@@ -127,7 +127,7 @@ pub const UNGATED_PREFIXES: &[&str] = &["serve/"];
 pub enum GateFailure {
     /// The row moved past the threshold in its worse direction.
     Regressed(Regression),
-    /// The current run did not produce the row, and no
+    /// A run compared did not produce the row, and no
     /// [`UNGATED_PREFIXES`] entry covers it.
     Missing(String),
 }
@@ -137,7 +137,7 @@ impl std::fmt::Display for GateFailure {
         match self {
             GateFailure::Regressed(r) => r.fmt(f),
             GateFailure::Missing(name) => {
-                write!(f, "{name}: in the baseline but not produced by this run")
+                write!(f, "{name}: in the baseline but not produced by every run")
             }
         }
     }
@@ -150,7 +150,7 @@ pub struct Regression {
     pub name: String,
     /// Committed-baseline value.
     pub baseline: u64,
-    /// Freshly measured value.
+    /// Freshly measured value: the median over the runs compared.
     pub current: u64,
     /// `current / baseline` (so 1.40 = 40 % more ns, or 40 % more req/s).
     pub ratio: f64,
@@ -181,36 +181,67 @@ fn unit_higher_is_better(unit: Option<&str>) -> bool {
     matches!(unit, Some("req/s" | "containers/s" | "steps/s" | "speedup"))
 }
 
-/// Compares a fresh report against a committed baseline and returns every
-/// baseline row that fails: regressed by more than `threshold` (0.25 =
-/// 25 %), or missing from the fresh report.
+/// The median of `values`: the middle one for an odd count, the mean of
+/// the two middle ones (rounded down) for an even count.
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+fn median(values: &mut [u64]) -> u64 {
+    assert!(!values.is_empty(), "median of no values");
+    values.sort_unstable();
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        let (lo, hi) = (values[mid - 1], values[mid]);
+        lo + (hi - lo) / 2
+    }
+}
+
+/// Compares fresh reports — repeated runs of the same benches — against a
+/// committed baseline and returns every baseline row that fails: its
+/// median over the runs regressed by more than `threshold` (0.25 = 25 %),
+/// or a run did not produce it. Gating the median keeps one noisy run on a
+/// shared host from flapping the gate.
 ///
 /// Direction-aware: `ns` rows regress when `current > baseline × (1 +
 /// threshold)`; rate rows (`req/s`) regress when `current < baseline × (1 -
-/// threshold)`. A baseline row the fresh report lacks fails unless an
+/// threshold)`. A baseline row missing from any run fails unless an
 /// [`UNGATED_PREFIXES`] entry covers it, so a bench that stops running
 /// cannot pass unnoticed; retiring a bench means deleting its baseline
-/// row. Rows only in the fresh report (a new bench) pass, as do baseline
+/// row. Rows only in the fresh reports (a new bench) pass, as do baseline
 /// rows with value 0 (no meaningful ratio).
+///
+/// # Panics
+///
+/// Panics if `runs` is empty.
 #[must_use]
 pub fn compare_reports(
     baseline: &PerfReport,
-    current: &PerfReport,
+    runs: &[PerfReport],
     threshold: f64,
 ) -> Vec<GateFailure> {
+    assert!(!runs.is_empty(), "compare_reports needs at least one run");
     let mut failures = Vec::new();
     for base in &baseline.results {
-        let Some(cur) = current.results.iter().find(|e| e.name == base.name) else {
+        let mut values: Vec<u64> = runs
+            .iter()
+            .filter_map(|run| run.results.iter().find(|e| e.name == base.name))
+            .map(|e| e.median_ns)
+            .collect();
+        if values.len() < runs.len() {
             if !UNGATED_PREFIXES.iter().any(|p| base.name.starts_with(p)) {
                 failures.push(GateFailure::Missing(base.name.clone()));
             }
             continue;
-        };
+        }
         if base.median_ns == 0 {
             continue;
         }
+        let current = median(&mut values);
         let higher_is_better = unit_higher_is_better(base.unit.as_deref());
-        let ratio = cur.median_ns as f64 / base.median_ns as f64;
+        let ratio = current as f64 / base.median_ns as f64;
         let regressed = if higher_is_better {
             ratio < 1.0 - threshold
         } else {
@@ -220,7 +251,7 @@ pub fn compare_reports(
             failures.push(GateFailure::Regressed(Regression {
                 name: base.name.clone(),
                 baseline: base.median_ns,
-                current: cur.median_ns,
+                current,
                 ratio,
                 higher_is_better,
             }));
@@ -291,7 +322,7 @@ mod tests {
     fn compare_flags_latency_regressions_only_past_threshold() {
         let base = report(vec![entry("a", 100), entry("b", 100)]);
         let cur = report(vec![entry("a", 124), entry("b", 126)]);
-        let regs = regressions(compare_reports(&base, &cur, 0.25));
+        let regs = regressions(compare_reports(&base, &[cur], 0.25));
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].name, "b");
         assert!(!regs[0].higher_is_better);
@@ -304,7 +335,7 @@ mod tests {
         // regresses.
         let base = report(vec![rate_entry("rps_up", 1000), rate_entry("rps_down", 1000)]);
         let cur = report(vec![rate_entry("rps_up", 1500), rate_entry("rps_down", 700)]);
-        let regs = regressions(compare_reports(&base, &cur, 0.25));
+        let regs = regressions(compare_reports(&base, &[cur], 0.25));
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].name, "rps_down");
         assert!(regs[0].higher_is_better);
@@ -316,7 +347,7 @@ mod tests {
         // the current run has.
         let base = report(vec![entry("serve/gone", 100), entry("zero", 0)]);
         let cur = report(vec![entry("new", 1), entry("zero", 999)]);
-        assert!(compare_reports(&base, &cur, 0.25).is_empty());
+        assert!(compare_reports(&base, &[cur], 0.25).is_empty());
     }
 
     #[test]
@@ -329,7 +360,7 @@ mod tests {
         ]);
         let cur = report(vec![entry("kept", 100)]);
         assert_eq!(
-            compare_reports(&base, &cur, 0.25),
+            compare_reports(&base, &[cur], 0.25),
             vec![
                 GateFailure::Missing("dropped".into()),
                 GateFailure::Missing("dropped_zero".into()),
@@ -338,9 +369,54 @@ mod tests {
     }
 
     #[test]
+    fn median_of_an_odd_count_is_the_middle_value() {
+        assert_eq!(median(&mut [300, 100, 200]), 200);
+        assert_eq!(median(&mut [7]), 7);
+    }
+
+    #[test]
+    fn median_of_an_even_count_is_the_mean_of_the_middle_two() {
+        assert_eq!(median(&mut [400, 100, 300, 200]), 250);
+        assert_eq!(median(&mut [3, 4]), 3, "rounded down");
+    }
+
+    #[test]
+    fn compare_gates_the_median_over_runs() {
+        // One noisy run out of three (the flapping the gate must ride out)
+        // passes; two slow runs out of three fail at their median.
+        let base = report(vec![entry("day", 100), entry("slow", 100)]);
+        let runs = [
+            report(vec![entry("day", 110), entry("slow", 130)]),
+            report(vec![entry("day", 190), entry("slow", 140)]),
+            report(vec![entry("day", 120), entry("slow", 90)]),
+        ];
+        let regs = regressions(compare_reports(&base, &runs, 0.25));
+        assert_eq!(regs.len(), 1);
+        assert_eq!((regs[0].name.as_str(), regs[0].current), ("slow", 130));
+        // An even count gates the mean of the middle two.
+        let regs = regressions(compare_reports(&base, &runs[..2], 0.25));
+        assert_eq!(regs.len(), 2);
+        assert_eq!((regs[0].name.as_str(), regs[0].current), ("day", 150));
+    }
+
+    #[test]
+    fn compare_fails_a_row_missing_from_one_run() {
+        let base = report(vec![entry("kept", 100), entry("flaky", 100)]);
+        let runs = [
+            report(vec![entry("kept", 100), entry("flaky", 100)]),
+            report(vec![entry("kept", 100)]),
+            report(vec![entry("kept", 100), entry("flaky", 100)]),
+        ];
+        assert_eq!(
+            compare_reports(&base, &runs, 0.25),
+            vec![GateFailure::Missing("flaky".into())]
+        );
+    }
+
+    #[test]
     fn compare_improvements_never_flagged() {
         let base = report(vec![entry("fast", 1000)]);
         let cur = report(vec![entry("fast", 10)]);
-        assert!(compare_reports(&base, &cur, 0.25).is_empty());
+        assert!(compare_reports(&base, &[cur], 0.25).is_empty());
     }
 }

@@ -20,9 +20,10 @@ use crate::modeler::CoolingModel;
 ///    (2 minutes) so the predictor has the short history it needs;
 /// 2. call [`CoolAir::decide_cooling`] every control period (10 minutes) and
 ///    apply the returned regime via the Cooling Configurer;
-/// 3. call [`CoolAir::decide_compute`] whenever the workload's demand
-///    changes and apply the returned activation target and server priority
-///    via the Compute Configurer;
+/// 3. install [`CoolAir::server_priority`] as the cluster's placement order
+///    once, then call [`CoolAir::decide_compute`] whenever the workload's
+///    demand changes and apply the returned activation target via the
+///    Compute Configurer;
 /// 4. for deferrable workloads, ask [`CoolAir::schedule_job`] for each
 ///    arriving job's earliest start.
 #[derive(Debug)]
@@ -170,10 +171,19 @@ impl CoolAir {
         self.optimizer.select(&self.model, &self.cfg, readings, prev, band, &self.active_pods)
     }
 
+    /// The spatial placement order (§3.3): server indices, first to
+    /// activate first. Fixed when the instance is built, from the version's
+    /// placement policy and the learned recirculation ranking.
+    #[must_use]
+    pub fn server_priority(&self) -> &[usize] {
+        &self.priority
+    }
+
     /// Sizes the active server set for the current `demand` (servers of
-    /// work available) and returns `(target, priority order)`. Also updates
-    /// which pods count as active for the utility function.
-    pub fn decide_compute(&mut self, demand: usize, covering: usize) -> (usize, &[usize]) {
+    /// work available) and returns the activation target: the first
+    /// `target` servers of [`CoolAir::server_priority`] should be active.
+    /// Also updates which pods count as active for the utility function.
+    pub fn decide_compute(&mut self, demand: usize, covering: usize) -> usize {
         let total = self.priority.len();
         // Rapid wake/sleep cycling would both thrash disks and inject
         // heat-load swings — the exact variation CoolAir exists to
@@ -187,16 +197,14 @@ impl CoolAir {
         // Active pods: those hosting covering-subset servers (indices
         // 0..covering) plus those receiving the first `target` priority
         // servers.
-        let pods = self.model.pods();
-        let mut active = vec![false; pods];
+        self.active_pods.fill(false);
         for s in 0..covering.min(total) {
-            active[s / SERVERS_PER_POD] = true;
+            self.active_pods[s / SERVERS_PER_POD] = true;
         }
         for &s in self.priority.iter().take(target) {
-            active[s / SERVERS_PER_POD] = true;
+            self.active_pods[s / SERVERS_PER_POD] = true;
         }
-        self.active_pods = active;
-        (target, &self.priority)
+        target
     }
 
     /// Currently active pods (by the latest compute decision).
@@ -286,9 +294,9 @@ mod tests {
         let mut ca = build(Version::AllNd);
         // All-ND → high-recirc-first → pod 0 first; covering (8 servers)
         // also lives in pod 0.
-        let (target, order) = ca.decide_compute(10, 8);
+        let target = ca.decide_compute(10, 8);
         assert_eq!(target, 10);
-        assert_eq!(order.len(), 64);
+        assert_eq!(ca.server_priority().len(), 64);
         let active = ca.active_pods();
         assert!(active[0], "pod 0 hosts covering subset and first placements");
         assert!(!active[3], "pod 3 idle under high-recirc-first with demand 10");
@@ -297,8 +305,8 @@ mod tests {
     #[test]
     fn low_recirc_version_fills_opposite_end() {
         let mut ca = build(Version::Energy);
-        let (_, order) = ca.decide_compute(10, 8);
-        assert_eq!(order[0] / SERVERS_PER_POD, 3, "Energy fills pod 3 first");
+        ca.decide_compute(10, 8);
+        assert_eq!(ca.server_priority()[0] / SERVERS_PER_POD, 3, "Energy fills pod 3 first");
         let active = ca.active_pods();
         assert!(active[3]);
         assert!(active[0], "covering pod is always active");

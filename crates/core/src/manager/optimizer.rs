@@ -50,12 +50,22 @@ impl std::error::Error for SelectError {}
 /// ties, so "do nothing" (closed) wins whenever nothing is at risk.
 ///
 /// Every candidate of a tick is predicted through one shared
-/// [`PredictionContext`], which rolls each distinct regime forward once.
+/// [`PredictionContext`], which rolls each distinct regime forward once,
+/// into one of two prediction buffers the optimizer keeps across ticks:
+/// each candidate is scored as soon as it is written, and the best so far
+/// is kept by swapping buffers, so only the returned [`Decision`] copies a
+/// prediction.
 #[derive(Debug, Clone)]
 pub struct CoolingOptimizer {
     profile: UtilityProfile,
     infra: Infrastructure,
     telemetry: Telemetry,
+    /// The infrastructure's candidate regimes, listed once.
+    candidates: Vec<CoolingRegime>,
+    /// The candidate being scored.
+    scored: Prediction,
+    /// The best candidate so far this tick.
+    best: Prediction,
 }
 
 impl CoolingOptimizer {
@@ -63,7 +73,14 @@ impl CoolingOptimizer {
     /// infrastructure.
     #[must_use]
     pub fn new(profile: UtilityProfile, infra: Infrastructure) -> Self {
-        CoolingOptimizer { profile, infra, telemetry: Telemetry::disabled() }
+        CoolingOptimizer {
+            profile,
+            infra,
+            telemetry: Telemetry::disabled(),
+            candidates: infra.candidate_regimes(),
+            scored: Prediction::default(),
+            best: Prediction::default(),
+        }
     }
 
     /// Attaches a telemetry bus; selections are wrapped in the
@@ -101,45 +118,34 @@ impl CoolingOptimizer {
     ) -> Result<Decision, SelectError> {
         assert_eq!(active_pods.len(), model.pods(), "active pod arity");
         let _select_scope = self.telemetry.time_scope("optimizer.select");
-        let candidates = self.infra.candidate_regimes();
-        let n = candidates.len();
-        if n == 0 {
-            return Err(SelectError::NoCandidates);
-        }
-
         let mut ctx = PredictionContext::new(model, cfg, self.infra, readings, prev);
-        let mut predictions: Vec<Prediction> = candidates
-            .iter()
-            .map(|&c| {
+        let mut best: Option<(CoolingRegime, f64)> = None;
+        for &candidate in &self.candidates {
+            {
                 let _predict_scope = self.telemetry.time_scope("model.predict_regime");
-                ctx.predict(c)
-            })
-            .collect();
-
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (&candidate, prediction)) in
-            candidates.iter().zip(predictions.iter()).enumerate()
-        {
+                ctx.predict_into(candidate, &mut self.scored);
+            }
             let penalty =
-                utility_penalty(&self.profile, cfg, band, prediction, active_pods, candidate);
+                utility_penalty(&self.profile, cfg, band, &self.scored, active_pods, candidate);
             let better = match best {
                 None => true,
-                Some((bi, bp)) => {
+                Some((_, bp)) => {
                     penalty < bp - 1e-9
                         || ((penalty - bp).abs() <= 1e-9
-                            && prediction.energy_kwh < predictions[bi].energy_kwh)
+                            && self.scored.energy_kwh < self.best.energy_kwh)
                 }
             };
             if better {
-                best = Some((i, penalty));
+                best = Some((candidate, penalty));
+                std::mem::swap(&mut self.scored, &mut self.best);
             }
         }
-        let (i, penalty) = best.ok_or(SelectError::NoCandidates)?;
+        let (regime, penalty) = best.ok_or(SelectError::NoCandidates)?;
         Ok(Decision {
-            regime: candidates[i],
+            regime,
             penalty,
-            prediction: predictions.swap_remove(i),
-            candidates: n,
+            prediction: self.best.clone(),
+            candidates: self.candidates.len(),
         })
     }
 }
@@ -151,9 +157,6 @@ mod tests {
     use crate::modeler::{train_cooling_model, TrainingConfig};
     use coolair_units::{psychro, Celsius, RelativeHumidity, SimTime, Watts};
     use coolair_weather::{Location, TmySeries};
-
-    pub(super) fn model_pub() -> CoolingModel { model() }
-    pub(super) fn readings_pub(a: f64, b: f64, c: f64) -> SensorReadings { readings(a, b, c) }
 
     fn model() -> CoolingModel {
         let tmy = TmySeries::generate(&Location::newark(), 11);
@@ -278,31 +281,5 @@ mod tests {
         assert!(e.to_string().contains("no candidate"));
         let boxed: Box<dyn std::error::Error> = Box::new(e);
         assert!(boxed.source().is_none());
-    }
-}
-
-#[cfg(test)]
-mod dbg {
-    
-    use crate::config::{CoolAirConfig, Version};
-    use crate::manager::band::TempBand;
-    use crate::manager::predictor::predict_regime;
-    use crate::manager::utility::utility_penalty;
-    use coolair_thermal::Infrastructure;
-    use coolair_units::Celsius;
-
-    #[test]
-    #[ignore]
-    fn debug_candidates() {
-        let m = super::tests::model_pub();
-        let cfg = CoolAirConfig::default();
-        let band = TempBand::new(Celsius::new(20.0), Celsius::new(25.0));
-        let r = super::tests::readings_pub(28.0, 16.0, 45.0);
-        let profile = Version::AllNd.utility(&cfg);
-        for c in Infrastructure::Smooth.candidate_regimes() {
-            let p = predict_regime(&m, &cfg, &r, None, c, Infrastructure::Smooth);
-            let pen = utility_penalty(&profile, &cfg, Some(band), &p, &[true;4], c);
-            println!("{c}: pen={pen:.2} final={:.2} max={:.2} delta={:.2} rh={:.1} e={:.3}", p.final_temps[0].value(), p.max_temps[0].value(), p.deltas[0], p.final_rh.percent(), p.energy_kwh);
-        }
     }
 }

@@ -17,7 +17,7 @@ use crate::modeler::CoolingModel;
 
 /// The predicted outcome of holding one cooling regime for a full control
 /// period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Prediction {
     /// Predicted inlet temperature per pod at the end of the period.
     pub final_temps: Vec<Celsius>,
@@ -36,6 +36,26 @@ pub struct Prediction {
     pub final_rh: RelativeHumidity,
     /// Predicted cooling energy over the period, kWh.
     pub energy_kwh: f64,
+}
+
+impl Prediction {
+    /// Overwrites `self` with `other`, reusing `self`'s buffers (the derived
+    /// `clone_from` would allocate fresh ones).
+    fn assign(&mut self, other: &Prediction) {
+        self.final_temps.clone_from(&other.final_temps);
+        self.max_temps.clone_from(&other.max_temps);
+        self.mean_temps.clone_from(&other.mean_temps);
+        self.start_temps.clone_from(&other.start_temps);
+        self.deltas.clone_from(&other.deltas);
+        self.final_rh = other.final_rh;
+        self.energy_kwh = other.energy_kwh;
+    }
+}
+
+/// Replaces `out`'s contents with `values`, keeping its allocation.
+fn refill<T>(out: &mut Vec<T>, values: impl Iterator<Item = T>) {
+    out.clear();
+    out.extend(values);
 }
 
 /// Reusable per-candidate working buffers for the prediction roll-forward.
@@ -65,9 +85,10 @@ struct PredictScratch {
 /// speed, outside conditions — from the `SensorReadings` for every one of
 /// them, allocating as it went. A `PredictionContext` hoists all of that
 /// candidate-invariant work into its constructor, so the per-tick cost of
-/// it drops from O(candidates) to O(1); [`PredictionContext::predict`] then
-/// fills in only the regime-dependent features, rolling the model forward
-/// in reusable scratch buffers.
+/// it drops from O(candidates) to O(1); [`PredictionContext::predict_into`]
+/// then fills in only the regime-dependent features, rolling the model
+/// forward in reusable scratch buffers and writing the outcome into a
+/// caller-owned [`Prediction`] whose buffers it reuses.
 ///
 /// ```
 /// # use coolair::manager::predictor::PredictionContext;
@@ -81,8 +102,9 @@ struct PredictScratch {
 /// # let readings = plant.readings(coolair_units::SimTime::EPOCH);
 /// let infra = Infrastructure::Smooth;
 /// let mut ctx = PredictionContext::new(&model, &cfg, infra, &readings, None);
+/// let mut prediction = coolair::manager::predictor::Prediction::default();
 /// for candidate in infra.candidate_regimes() {
-///     let prediction = ctx.predict(candidate);
+///     ctx.predict_into(candidate, &mut prediction);
 ///     assert!(prediction.final_rh.percent() <= 100.0);
 /// }
 /// ```
@@ -178,7 +200,18 @@ impl<'a> PredictionContext<'a> {
     }
 
     /// Phase two: predicts the outcome of holding `candidate` for the
-    /// control period, reusing the context's start state and scratch.
+    /// control period, reusing the context's start state and scratch. A
+    /// thin wrapper over [`PredictionContext::predict_into`] for one-shot
+    /// callers; it allocates the returned prediction.
+    pub fn predict(&mut self, candidate: CoolingRegime) -> Prediction {
+        let mut out = Prediction::default();
+        self.predict_into(candidate, &mut out);
+        out
+    }
+
+    /// Phase two, allocation-free: writes the outcome of holding
+    /// `candidate` for the control period into `out`, overwriting every
+    /// field and reusing its buffers.
     ///
     /// For the smooth infrastructure's variable-speed compressor,
     /// predictions interpolate between the AC-compressor-off and
@@ -186,7 +219,7 @@ impl<'a> PredictionContext<'a> {
     /// Smooth-Sim does in §5.1 ("we model the temperature and humidity of
     /// the smooth AC by interpolating the models for the AC with the
     /// compressor on and off").
-    pub fn predict(&mut self, candidate: CoolingRegime) -> Prediction {
+    pub fn predict_into(&mut self, candidate: CoolingRegime, out: &mut Prediction) {
         let candidate = self.infra.sanitize(candidate);
         let comp = candidate.compressor();
         let interpolate_ac =
@@ -195,7 +228,8 @@ impl<'a> PredictionContext<'a> {
         if interpolate_ac {
             let off = self.anchor(CoolingRegime::ac_fan_only());
             let on = self.anchor(CoolingRegime::ac_on());
-            return blend(&self.anchors[off].1, &self.anchors[on].1, comp, self.model, self.cfg);
+            blend_into(&self.anchors[off].1, &self.anchors[on].1, comp, self.model, self.cfg, out);
+            return;
         }
 
         // Fan speeds below Parasol's 15 % minimum have no training data; a
@@ -211,20 +245,21 @@ impl<'a> PredictionContext<'a> {
             let closed = self.anchor(CoolingRegime::Closed);
             let fc_floor = self.anchor(CoolingRegime::free_cooling(FanSpeed::PARASOL_MIN));
             let w = fan / floor;
-            let mut out =
-                blend(&self.anchors[closed].1, &self.anchors[fc_floor].1, w, self.model, self.cfg);
+            let (closed, fc_floor) = (&self.anchors[closed].1, &self.anchors[fc_floor].1);
+            blend_into(closed, fc_floor, w, self.model, self.cfg, out);
             // Fan power, not AC power, for this regime family.
             out.energy_kwh = self.model.predict_power(RegimeClass::FreeCooling, fan, 0.0)
                 / 1000.0
                 * self.period_hours;
-            return out;
+            return;
         }
         // Only the smooth infrastructure blends, so only it shares anchors.
         if self.infra == Infrastructure::Smooth && blend_anchors().contains(&candidate) {
             let i = self.anchor(candidate);
-            return self.anchors[i].1.clone();
+            out.assign(&self.anchors[i].1);
+            return;
         }
-        self.predict_single(candidate)
+        self.predict_single(candidate, out);
     }
 
     /// The index in `anchors` of `regime`'s roll-forward, rolling it
@@ -233,12 +268,13 @@ impl<'a> PredictionContext<'a> {
         if let Some(i) = self.anchors.iter().position(|(r, _)| *r == regime) {
             return i;
         }
-        let prediction = self.predict_single(regime);
+        let mut prediction = Prediction::default();
+        self.predict_single(regime, &mut prediction);
         self.anchors.push((regime, prediction));
         self.anchors.len() - 1
     }
 
-    fn predict_single(&mut self, candidate: CoolingRegime) -> Prediction {
+    fn predict_single(&mut self, candidate: CoolingRegime, out: &mut Prediction) {
         let pods = self.pods;
         let cand_class = candidate.class();
         let fan = candidate.fan_speed().fraction();
@@ -313,20 +349,16 @@ impl<'a> PredictionContext<'a> {
         let energy_kwh = power_w / 1000.0 * self.period_hours;
 
         let substeps = self.substeps as f64;
-        Prediction {
-            final_temps: scratch.t_now.iter().map(|&t| Celsius::new(t)).collect(),
-            max_temps: scratch.max_temps.iter().map(|&t| Celsius::new(t)).collect(),
-            mean_temps: scratch.sum_temps.iter().map(|&s| Celsius::new(s / substeps)).collect(),
-            start_temps: self.base_t_now.iter().map(|&t| Celsius::new(t)).collect(),
-            deltas: scratch
-                .t_now
-                .iter()
-                .zip(self.base_t_now.iter())
-                .map(|(a, b)| (a - b).abs())
-                .collect(),
-            final_rh,
-            energy_kwh,
-        }
+        refill(&mut out.final_temps, scratch.t_now.iter().map(|&t| Celsius::new(t)));
+        refill(&mut out.max_temps, scratch.max_temps.iter().map(|&t| Celsius::new(t)));
+        refill(&mut out.mean_temps, scratch.sum_temps.iter().map(|&s| Celsius::new(s / substeps)));
+        refill(&mut out.start_temps, self.base_t_now.iter().map(|&t| Celsius::new(t)));
+        refill(
+            &mut out.deltas,
+            scratch.t_now.iter().zip(self.base_t_now.iter()).map(|(a, b)| (a - b).abs()),
+        );
+        out.final_rh = final_rh;
+        out.energy_kwh = energy_kwh;
     }
 }
 
@@ -351,52 +383,35 @@ pub fn predict_regime(
     PredictionContext::new(model, cfg, infra, readings, prev).predict(candidate)
 }
 
-/// Blends the AC-off and AC-on predictions by compressor fraction. The
-/// blended power interpolates the learned fan-only and full-compressor
-/// draws linearly — the §5.1 assumption that "the compressor consumes power
-/// linearly with speed".
-fn blend(
+/// Writes into `out` the blend of the AC-off and AC-on predictions by
+/// compressor fraction. The blended power interpolates the learned
+/// fan-only and full-compressor draws linearly — the §5.1 assumption that
+/// "the compressor consumes power linearly with speed".
+fn blend_into(
     off: &Prediction,
     on: &Prediction,
     comp: f64,
     model: &CoolingModel,
     cfg: &CoolAirConfig,
-) -> Prediction {
-    let mix = |a: Celsius, b: Celsius| Celsius::new(a.value() * (1.0 - comp) + b.value() * comp);
+    out: &mut Prediction,
+) {
+    let mix = |(a, b): (&Celsius, &Celsius)| {
+        Celsius::new(a.value() * (1.0 - comp) + b.value() * comp)
+    };
     let power_off = model.predict_power(RegimeClass::AcFanOnly, 0.0, 0.0);
     let power_on = model.predict_power(RegimeClass::AcCompressorOn, 0.0, 1.0);
     let energy_w = power_off * (1.0 - comp) + power_on * comp;
-    Prediction {
-        final_temps: off
-            .final_temps
-            .iter()
-            .zip(on.final_temps.iter())
-            .map(|(a, b)| mix(*a, *b))
-            .collect(),
-        max_temps: off
-            .max_temps
-            .iter()
-            .zip(on.max_temps.iter())
-            .map(|(a, b)| mix(*a, *b))
-            .collect(),
-        mean_temps: off
-            .mean_temps
-            .iter()
-            .zip(on.mean_temps.iter())
-            .map(|(a, b)| mix(*a, *b))
-            .collect(),
-        start_temps: off.start_temps.clone(),
-        deltas: off
-            .deltas
-            .iter()
-            .zip(on.deltas.iter())
-            .map(|(a, b)| a * (1.0 - comp) + b * comp)
-            .collect(),
-        final_rh: RelativeHumidity::new(
-            off.final_rh.percent() * (1.0 - comp) + on.final_rh.percent() * comp,
-        ),
-        energy_kwh: energy_w / 1000.0 * cfg.control_period.as_hours_f64(),
-    }
+    refill(&mut out.final_temps, off.final_temps.iter().zip(on.final_temps.iter()).map(mix));
+    refill(&mut out.max_temps, off.max_temps.iter().zip(on.max_temps.iter()).map(mix));
+    refill(&mut out.mean_temps, off.mean_temps.iter().zip(on.mean_temps.iter()).map(mix));
+    out.start_temps.clone_from(&off.start_temps);
+    refill(
+        &mut out.deltas,
+        off.deltas.iter().zip(on.deltas.iter()).map(|(a, b)| a * (1.0 - comp) + b * comp),
+    );
+    out.final_rh =
+        RelativeHumidity::new(off.final_rh.percent() * (1.0 - comp) + on.final_rh.percent() * comp);
+    out.energy_kwh = energy_w / 1000.0 * cfg.control_period.as_hours_f64();
 }
 
 #[cfg(test)]

@@ -536,7 +536,7 @@ impl SupervisedCoolAir {
 
     /// Sizes the active server set (delegates; compute management does not
     /// depend on the thermal sensors).
-    pub fn decide_compute(&mut self, demand: usize, covering: usize) -> (usize, &[usize]) {
+    pub fn decide_compute(&mut self, demand: usize, covering: usize) -> usize {
         self.inner.decide_compute(demand, covering)
     }
 

@@ -1,7 +1,5 @@
 //! The learned Cooling Model.
 
-use std::collections::HashMap;
-
 use coolair_ml::{LinearModel, ModelTree, Regressor};
 use coolair_thermal::{ModelKey, PodId, RegimeClass};
 use serde::{Deserialize, Serialize};
@@ -43,15 +41,47 @@ pub struct RegimeModels {
     pub samples: usize,
 }
 
+/// Regime classes, and so steady keys.
+const CLASSES: usize = RegimeClass::ALL.len();
+
+/// Entries of the dense model table: the steady keys, then one transition
+/// per ordered pair of classes.
+const KEY_SLOTS: usize = CLASSES + CLASSES * CLASSES;
+
+/// Where `key`'s models live in the dense table: the steady keys first, in
+/// [`RegimeClass::ALL`] order, then the transitions row-major by
+/// `(from, to)`.
+fn slot(key: ModelKey) -> usize {
+    match key {
+        ModelKey::Steady(class) => class as usize,
+        ModelKey::Transition(from, to) => CLASSES + from as usize * CLASSES + to as usize,
+    }
+}
+
+/// The key stored at table entry `slot` (the inverse of [`slot`]).
+fn key_at(slot: usize) -> ModelKey {
+    if slot < CLASSES {
+        ModelKey::Steady(RegimeClass::ALL[slot])
+    } else {
+        let pair = slot - CLASSES;
+        ModelKey::Transition(RegimeClass::ALL[pair / CLASSES], RegimeClass::ALL[pair % CLASSES])
+    }
+}
+
 /// The complete learned Cooling Model: per-regime and per-transition
 /// temperature/humidity/power models plus the recirculation ranking.
+///
+/// The models sit in a dense table indexed by [`ModelKey`] (one entry per
+/// possible key, empty where training produced none), so a prediction
+/// resolves its models with an index, not a hash lookup.
 ///
 /// Serialises through a pair-list representation so the model can be saved
 /// as JSON (JSON object keys must be strings, which [`ModelKey`] is not).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(from = "CoolingModelRepr", into = "CoolingModelRepr")]
 pub struct CoolingModel {
-    models: HashMap<ModelKey, RegimeModels>,
+    /// `KEY_SLOTS` entries, indexed by [`slot`].
+    models: Vec<Option<RegimeModels>>,
     recirc_ranking: Vec<PodId>,
     pods: usize,
 }
@@ -66,7 +96,12 @@ struct CoolingModelRepr {
 
 impl From<CoolingModel> for CoolingModelRepr {
     fn from(m: CoolingModel) -> Self {
-        let mut models: Vec<(ModelKey, RegimeModels)> = m.models.into_iter().collect();
+        let mut models: Vec<(ModelKey, RegimeModels)> = m
+            .models
+            .into_iter()
+            .enumerate()
+            .filter_map(|(slot, models)| Some((key_at(slot), models?)))
+            .collect();
         models.sort_by_key(|(k, _)| format!("{k}"));
         CoolingModelRepr { models, recirc_ranking: m.recirc_ranking, pods: m.pods }
     }
@@ -75,11 +110,21 @@ impl From<CoolingModel> for CoolingModelRepr {
 impl From<CoolingModelRepr> for CoolingModel {
     fn from(r: CoolingModelRepr) -> Self {
         CoolingModel {
-            models: r.models.into_iter().collect(),
+            models: table(r.models),
             recirc_ranking: r.recirc_ranking,
             pods: r.pods,
         }
     }
+}
+
+/// The dense table holding `models`; a key listed twice keeps its last
+/// entry.
+fn table(models: impl IntoIterator<Item = (ModelKey, RegimeModels)>) -> Vec<Option<RegimeModels>> {
+    let mut table = vec![None; KEY_SLOTS];
+    for (key, m) in models {
+        table[slot(key)] = Some(m);
+    }
+    table
 }
 
 impl CoolingModel {
@@ -92,19 +137,21 @@ impl CoolingModel {
     /// pod models.
     #[must_use]
     pub fn new(
-        models: HashMap<ModelKey, RegimeModels>,
+        models: impl IntoIterator<Item = (ModelKey, RegimeModels)>,
         recirc_ranking: Vec<PodId>,
         pods: usize,
     ) -> Self {
+        let model = CoolingModel { models: table(models), recirc_ranking, pods };
         assert!(
-            models.keys().any(|k| matches!(k, ModelKey::Steady(_))),
+            model.keys().any(|k| matches!(k, ModelKey::Steady(_))),
             "need at least one steady-state model"
         );
-        assert_eq!(recirc_ranking.len(), pods, "ranking must cover all pods");
-        for (k, m) in &models {
+        assert_eq!(model.recirc_ranking.len(), pods, "ranking must cover all pods");
+        for k in model.keys() {
+            let m = model.models_for(k).expect("listed key");
             assert_eq!(m.pod_temp.len(), pods, "model {k} has wrong pod arity");
         }
-        CoolingModel { models, recirc_ranking, pods }
+        model
     }
 
     /// Number of pod sensors the model covers.
@@ -120,9 +167,14 @@ impl CoolingModel {
         &self.recirc_ranking
     }
 
-    /// Keys with fitted models.
+    /// Keys with fitted models, steady keys first.
     pub fn keys(&self) -> impl Iterator<Item = ModelKey> + '_ {
-        self.models.keys().copied()
+        self.models.iter().enumerate().filter(|(_, m)| m.is_some()).map(|(slot, _)| key_at(slot))
+    }
+
+    /// The models fitted for exactly `key`.
+    fn fitted(&self, key: ModelKey) -> Option<&RegimeModels> {
+        self.models[slot(key)].as_ref()
     }
 
     /// The models for `key`, falling back from a missing transition model to
@@ -130,11 +182,11 @@ impl CoolingModel {
     /// enough training data).
     #[must_use]
     pub fn models_for(&self, key: ModelKey) -> Option<&RegimeModels> {
-        if let Some(m) = self.models.get(&key) {
+        if let Some(m) = self.fitted(key) {
             return Some(m);
         }
         if let ModelKey::Transition(_, to) = key {
-            return self.models.get(&ModelKey::Steady(to));
+            return self.fitted(ModelKey::Steady(to));
         }
         None
     }
@@ -163,7 +215,7 @@ impl CoolingModel {
     /// fan/compressor settings.
     #[must_use]
     pub fn predict_power(&self, class: RegimeClass, fan: f64, compressor: f64) -> f64 {
-        match self.models.get(&ModelKey::Steady(class)) {
+        match self.fitted(ModelKey::Steady(class)) {
             Some(m) => m.power.predict(fan, compressor),
             None => 0.0,
         }
@@ -221,10 +273,11 @@ mod tests {
     }
 
     fn model() -> CoolingModel {
-        let mut map = HashMap::new();
-        map.insert(ModelKey::Steady(RegimeClass::Closed), trivial_models(4));
-        map.insert(ModelKey::Steady(RegimeClass::FreeCooling), trivial_models(4));
-        CoolingModel::new(map, vec![PodId(0), PodId(1), PodId(2), PodId(3)], 4)
+        let models = [
+            (ModelKey::Steady(RegimeClass::Closed), trivial_models(4)),
+            (ModelKey::Steady(RegimeClass::FreeCooling), trivial_models(4)),
+        ];
+        CoolingModel::new(models, vec![PodId(0), PodId(1), PodId(2), PodId(3)], 4)
     }
 
     #[test]
@@ -258,12 +311,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "steady-state")]
     fn rejects_model_without_steady() {
-        let mut map = HashMap::new();
-        map.insert(
+        let models = [(
             ModelKey::Transition(RegimeClass::Closed, RegimeClass::FreeCooling),
             trivial_models(4),
-        );
-        let _ = CoolingModel::new(map, vec![PodId(0), PodId(1), PodId(2), PodId(3)], 4);
+        )];
+        let _ = CoolingModel::new(models, vec![PodId(0), PodId(1), PodId(2), PodId(3)], 4);
+    }
+
+    #[test]
+    fn every_key_has_its_own_table_slot() {
+        let mut keys: Vec<ModelKey> =
+            RegimeClass::ALL.iter().map(|&c| ModelKey::Steady(c)).collect();
+        for from in RegimeClass::ALL {
+            keys.extend(RegimeClass::ALL.iter().map(|&to| ModelKey::Transition(from, to)));
+        }
+        assert_eq!(keys.len(), KEY_SLOTS);
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(slot(key), i, "{key}");
+            assert_eq!(key_at(i), key);
+        }
     }
 
     #[test]

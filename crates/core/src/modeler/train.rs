@@ -195,10 +195,8 @@ pub fn train_cooling_model(tmy: &coolair_weather::TmySeries, config: &TrainingCo
         // --- physics -------------------------------------------------------
         let per_pod = Watts::new(util * SERVERS_PER_POD as f64 * 26.0);
         let it = ItLoad::uniform(pods, per_pod, util);
-        let outside = OutsideConditions {
-            temperature: tmy.temperature_at(now),
-            abs_humidity: tmy.absolute_humidity_at(now),
-        };
+        let (temperature, abs_humidity) = tmy.outside_at(now);
+        let outside = OutsideConditions { temperature, abs_humidity };
         plant.step(dt, outside, &it, regime);
         now += dt;
     }

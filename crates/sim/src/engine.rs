@@ -1,11 +1,13 @@
 //! The closed-loop day simulator shared by Real-Sim and Smooth-Sim.
 
+use std::collections::VecDeque;
+
 use coolair::{CoolAir, SupervisedCoolAir, SupervisorTelemetry};
 use coolair_telemetry::{Event, Telemetry, TEMP_BOUNDS_C};
 use coolair_thermal::{
     CoolingRegime, ItLoad, OutsideConditions, Plant, PlantConfig, SensorReadings, TksController,
 };
-use coolair_units::{Celsius, SimDuration, SimTime, Watts, SECS_PER_HOUR};
+use coolair_units::{Celsius, RelativeHumidity, SimDuration, SimTime, Watts, SECS_PER_HOUR};
 use coolair_weather::TmySeries;
 use coolair_workload::{Cluster, Job};
 use serde::{Deserialize, Serialize};
@@ -26,6 +28,10 @@ pub trait Container: std::fmt::Debug {
     );
     /// Sensor snapshot.
     fn readings(&self, now: SimTime) -> SensorReadings;
+    /// Pod inlet temperatures (°C) and the cold-aisle relative humidity:
+    /// the snapshot's `pod_inlets` and `cold_aisle_rh`, the two fields the
+    /// per-minute metrics sample, without building the rest of it.
+    fn inlets_and_rh(&self) -> (&[f64], RelativeHumidity);
     /// Cooling power drawn in the applied regime (the snapshot's
     /// `cooling_power`).
     fn cooling_power(&self) -> Watts;
@@ -45,6 +51,9 @@ impl Container for Plant {
     }
     fn readings(&self, now: SimTime) -> SensorReadings {
         Plant::readings(self, now)
+    }
+    fn inlets_and_rh(&self) -> (&[f64], RelativeHumidity) {
+        Plant::inlets_and_rh(self)
     }
     fn cooling_power(&self) -> Watts {
         Plant::cooling_power(self)
@@ -66,6 +75,9 @@ impl Container for crate::ModelPlant {
     }
     fn readings(&self, now: SimTime) -> SensorReadings {
         crate::ModelPlant::readings(self, now)
+    }
+    fn inlets_and_rh(&self) -> (&[f64], RelativeHumidity) {
+        crate::ModelPlant::inlets_and_rh(self)
     }
     fn cooling_power(&self) -> Watts {
         crate::ModelPlant::cooling_power(self)
@@ -115,10 +127,58 @@ impl Default for SimConfig {
 }
 
 /// The IT load the cluster presents to the plant. It changes only when the
-/// cluster does (in the compute-management block), so the day loops build
-/// it there rather than at every physics step.
+/// cluster does (in the compute-management block), so the day loops
+/// refresh it there, in place, rather than at every physics step.
 pub(crate) fn it_load(cluster: &Cluster) -> ItLoad {
-    ItLoad { pod_power: cluster.pod_power(), active_fraction: cluster.active_fraction() }
+    let mut it = ItLoad { pod_power: Vec::new(), active_fraction: 0.0 };
+    refresh_it_load(cluster, &mut it);
+    it
+}
+
+/// Rewrites `it` to the load `cluster` presents now, reusing its buffer.
+pub(crate) fn refresh_it_load(cluster: &Cluster, it: &mut ItLoad) {
+    cluster.write_pod_power(&mut it.pod_power);
+    it.active_fraction = cluster.active_fraction();
+}
+
+/// The last hour of per-minute pod inlet samples, for the rate-of-change
+/// metric: `slots × pods` readings in one array, oldest sample at `head`.
+#[derive(Debug)]
+struct HourRing {
+    samples: Vec<f64>,
+    pods: usize,
+    slots: usize,
+    head: usize,
+    len: usize,
+}
+
+impl HourRing {
+    fn new(slots: usize, pods: usize) -> Self {
+        HourRing { samples: vec![0.0; slots * pods], pods, slots, head: 0, len: 0 }
+    }
+
+    /// Records `temps` and returns the largest absolute change of any pod
+    /// against the sample it evicts (0 until the hour has filled).
+    fn push(&mut self, temps: &[f64]) -> f64 {
+        if self.slots == 0 {
+            return 0.0;
+        }
+        let mut max_change = 0.0_f64;
+        let slot = if self.len == self.slots {
+            let oldest = self.head;
+            self.head = (self.head + 1) % self.slots;
+            let old = &self.samples[oldest * self.pods..(oldest + 1) * self.pods];
+            for (a, b) in old.iter().zip(temps) {
+                max_change = max_change.max((b - a).abs());
+            }
+            oldest
+        } else {
+            self.len += 1;
+            self.len - 1
+        };
+        self.samples[slot * self.pods..(slot + 1) * self.pods].copy_from_slice(temps);
+        max_change
+    }
 }
 
 /// One per-minute sample for figure time series.
@@ -197,8 +257,10 @@ pub struct Simulation<P: Container = Plant> {
     controller: SimController,
     tmy: TmySeries,
     regime: CoolingRegime,
-    pending: Vec<Job>,
-    next_job: usize,
+    /// The day's jobs not yet submitted, in submission order.
+    pending: VecDeque<Job>,
+    /// The IT load the last compute block left in force.
+    it: ItLoad,
     faults: FaultPlan,
     stale_inlets: Vec<Celsius>,
     telemetry: Telemetry,
@@ -220,24 +282,30 @@ impl Simulation<Plant> {
 }
 
 impl<P: Container> Simulation<P> {
-    /// Builds a simulation over any container implementation.
+    /// Builds a simulation over any container implementation. A CoolAir
+    /// controller's server priority becomes the cluster's placement order.
     #[must_use]
     pub fn with_plant(
         controller: SimController,
         plant: P,
-        cluster: Cluster,
+        mut cluster: Cluster,
         tmy: TmySeries,
         cfg: SimConfig,
     ) -> Self {
+        match &controller {
+            SimController::Baseline(_) => {}
+            SimController::CoolAir(ca) => cluster.set_priority(ca.server_priority()),
+            SimController::Supervised(sv) => cluster.set_priority(sv.inner().server_priority()),
+        }
         Simulation {
             cfg,
             plant,
+            it: it_load(&cluster),
             cluster,
             controller,
             tmy,
             regime: CoolingRegime::Closed,
-            pending: Vec::new(),
-            next_job: 0,
+            pending: VecDeque::new(),
             faults: FaultPlan::none(),
             stale_inlets: Vec::new(),
             telemetry: Telemetry::disabled(),
@@ -296,9 +364,9 @@ impl<P: Container> Simulation<P> {
         let _day_scope = self.telemetry.time_scope("engine.run_day");
         let _guard = self.telemetry.panic_guard();
         self.telemetry.emit_with(|| Event::DayStart { day });
-        self.pending = jobs;
-        self.pending.sort_by_key(|j| j.submit);
-        self.next_job = 0;
+        let mut jobs = jobs;
+        jobs.sort_by_key(|j| j.submit);
+        self.pending = jobs.into();
 
         let midnight = SimTime::from_days(day);
         let start = SimTime::from_secs(
@@ -316,10 +384,8 @@ impl<P: Container> Simulation<P> {
         let mut rh_violations = 0u64;
         let mut rh_samples = 0u64;
         let mut minutes = Vec::new();
-        // Ring buffer of the last hour of per-sensor samples for the
-        // rate-of-change metric.
         let samples_per_hour = (SECS_PER_HOUR / self.cfg.sample_period.as_secs()) as usize;
-        let mut hour_ring: Vec<Vec<f64>> = Vec::with_capacity(samples_per_hour);
+        let mut hour_ring = HourRing::new(samples_per_hour, pods);
         let mut max_rate = 0.0_f64;
 
         let cycles_before = self.cluster.total_power_cycles();
@@ -331,7 +397,6 @@ impl<P: Container> Simulation<P> {
         };
 
         let dt_s = self.cfg.physics_step.as_secs() as f64;
-        let mut it = it_load(&self.cluster);
         let mut t = start;
         while t < end {
             let in_day = t >= midnight;
@@ -344,23 +409,21 @@ impl<P: Container> Simulation<P> {
                         // The baseline does no energy management: every
                         // server stays active.
                         let total = self.cluster.config().total_servers;
-                        self.cluster.set_active_target(total, None);
+                        self.cluster.set_active_target(total);
                     }
                     SimController::CoolAir(ca) => {
                         let demand = self.cluster.demand(t);
                         let covering = self.cluster.config().covering_count;
-                        let (target, order) = ca.decide_compute(demand, covering);
-                        self.cluster.set_active_target(target, Some(order));
+                        self.cluster.set_active_target(ca.decide_compute(demand, covering));
                     }
                     SimController::Supervised(sv) => {
                         let demand = self.cluster.demand(t);
                         let covering = self.cluster.config().covering_count;
-                        let (target, order) = sv.decide_compute(demand, covering);
-                        self.cluster.set_active_target(target, Some(order));
+                        self.cluster.set_active_target(sv.decide_compute(demand, covering));
                     }
                 }
                 self.cluster.step(t, self.cfg.compute_period);
-                it = it_load(&self.cluster);
+                refresh_it_load(&self.cluster, &mut self.it);
             }
 
             // --- sensing & control --------------------------------------------
@@ -411,15 +474,14 @@ impl<P: Container> Simulation<P> {
 
             // --- metrics -------------------------------------------------------
             if in_day && (t % self.cfg.sample_period).is_zero() {
-                let readings = self.plant.readings(t);
-                let temps: Vec<f64> = readings.pod_inlets.iter().map(|c| c.value()).collect();
+                let (temps, rh) = self.plant.inlets_and_rh();
                 for (i, &v) in temps.iter().enumerate() {
                     sensor_min[i] = sensor_min[i].min(v);
                     sensor_max[i] = sensor_max[i].max(v);
                     violation_sum += (v - self.cfg.desired_max.value()).max(0.0);
                     readings_count += 1;
                 }
-                if readings.cold_aisle_rh.percent() > 80.0 {
+                if rh.percent() > 80.0 {
                     rh_violations += 1;
                 }
                 rh_samples += 1;
@@ -427,7 +489,7 @@ impl<P: Container> Simulation<P> {
                     fault_minutes += 1;
                 }
                 if self.telemetry.enabled() {
-                    for &v in &temps {
+                    for &v in temps {
                         self.telemetry.observe("inlet_c", v, &TEMP_BOUNDS_C);
                     }
                     // Fault-window edge detection, at metrics resolution.
@@ -444,34 +506,27 @@ impl<P: Container> Simulation<P> {
                         }
                     }
                 }
-                if hour_ring.len() == samples_per_hour {
-                    let old = hour_ring.remove(0);
-                    for (a, b) in old.iter().zip(temps.iter()) {
-                        max_rate = max_rate.max((b - a).abs());
-                    }
-                }
-                hour_ring.push(temps);
+                max_rate = max_rate.max(hour_ring.push(temps));
 
                 if self.cfg.record_minutes {
+                    let readings = self.plant.readings(t);
                     minutes.push(self.minute_sample(t, &readings));
                 }
             }
 
             // --- physics ---------------------------------------------------------
-            let outside = OutsideConditions {
-                temperature: self.tmy.temperature_at(t),
-                abs_humidity: self.tmy.absolute_humidity_at(t),
-            };
+            let (temperature, abs_humidity) = self.tmy.outside_at(t);
+            let outside = OutsideConditions { temperature, abs_humidity };
             if in_day {
                 cooling_j += self.plant.cooling_power().value() * dt_s;
-                it_j += it.total().value() * dt_s;
+                it_j += self.it.total().value() * dt_s;
             }
             // Actuator faults sit between command and plant: the controller
             // believes `self.regime` is in force, the hardware does this.
             let actual = self.faults.apply_actuator(t, self.regime);
             {
                 let _step_scope = self.telemetry.time_scope("plant.step");
-                self.plant.step(self.cfg.physics_step, outside, &it, actual);
+                self.plant.step(self.cfg.physics_step, outside, &self.it, actual);
             }
             t += self.cfg.physics_step;
         }
@@ -533,9 +588,7 @@ impl<P: Container> Simulation<P> {
     }
 
     fn submit_arrivals(&mut self, now: SimTime) {
-        while self.next_job < self.pending.len() && self.pending[self.next_job].submit <= now {
-            let job = self.pending[self.next_job].clone();
-            self.next_job += 1;
+        while let Some(job) = self.pending.pop_front_if(|j| j.submit <= now) {
             let earliest = match &mut self.controller {
                 SimController::CoolAir(ca) if job.is_deferrable() => {
                     ca.schedule_job(&job, now)

@@ -30,10 +30,12 @@
 //! the property `tests/learn_properties.rs` pins, locally and over the
 //! daemon.
 
+use std::collections::VecDeque;
+
 use coolair_runner::{stable_digest, Digest};
 use coolair_thermal::{
-    CoolingRegime, Infrastructure, OutsideConditions, Plant, PlantConfig, SensorReadings,
-    TksConfig, TksController,
+    CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig,
+    SensorReadings, TksConfig, TksController,
 };
 use coolair_units::{Celsius, SimDuration, SimTime, SECS_PER_HOUR};
 use coolair_weather::{Location, TmySeries};
@@ -41,7 +43,7 @@ use coolair_workload::{Cluster, ClusterConfig, Job, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::annual::{build_trace, AnnualConfig};
-use crate::engine::it_load;
+use crate::engine::{it_load, refresh_it_load};
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
 
@@ -280,8 +282,10 @@ pub struct Episode {
     faults: FaultPlan,
     stale_inlets: Vec<Celsius>,
     regime: CoolingRegime,
-    pending: Vec<Job>,
-    next_job: usize,
+    /// Loaded jobs not yet submitted, in submission order.
+    pending: VecDeque<Job>,
+    /// The IT load the last compute block left in force.
+    it: ItLoad,
     jobs_loaded_through: u64,
     active_target: usize,
     t: SimTime,
@@ -331,20 +335,21 @@ impl Episode {
         );
         let mut pending = trace.jobs_for_day(spec.start_day);
         pending.sort_by_key(|j| j.submit);
+        let cluster = Cluster::new(cluster_config);
 
         let mut episode = Episode {
             engine: cfg.engine.clone(),
             desired_max: cfg.engine.desired_max,
             plant: Plant::new(plant_config),
-            cluster: Cluster::new(cluster_config),
+            it: it_load(&cluster),
+            cluster,
             tks: TksController::new(TksConfig::baseline()),
             tmy,
             trace,
             faults: cfg.faults.clone(),
             stale_inlets: Vec::new(),
             regime: CoolingRegime::Closed,
-            pending,
-            next_job: 0,
+            pending: pending.into(),
             jobs_loaded_through: spec.start_day,
             active_target: total_servers,
             t: warmup_start,
@@ -477,9 +482,6 @@ impl Episode {
         let mut it_j = 0.0;
         let day = SimDuration::from_days(1);
         let dt_s = self.engine.physics_step.as_secs() as f64;
-        // The episode resumes mid-stream: the load in force is the one the
-        // last compute block left.
-        let mut it = it_load(&self.cluster);
         while self.t < until {
             let t = self.t;
             // Crossing a midnight inside the horizon loads that day's jobs.
@@ -492,23 +494,19 @@ impl Episode {
                     let mut jobs = self.trace.jobs_for_day(day_index);
                     jobs.sort_by_key(|j| j.submit);
                     // Later days only submit later, so the pending list
-                    // stays sorted and `next_job` stays valid.
+                    // stays sorted.
                     self.pending.extend(jobs);
                 }
             }
 
             if (t % self.engine.compute_period).is_zero() {
-                while self.next_job < self.pending.len()
-                    && self.pending[self.next_job].submit <= t
-                {
-                    let job = self.pending[self.next_job].clone();
-                    self.next_job += 1;
+                while let Some(job) = self.pending.pop_front_if(|j| j.submit <= t) {
                     let earliest = job.submit;
                     self.cluster.submit_with_start(job, earliest);
                 }
-                self.cluster.set_active_target(self.active_target, None);
+                self.cluster.set_active_target(self.active_target);
                 self.cluster.step(t, self.engine.compute_period);
-                it = it_load(&self.cluster);
+                refresh_it_load(&self.cluster, &mut self.it);
             }
 
             if (t % self.engine.baseline_control).is_zero() {
@@ -517,22 +515,20 @@ impl Episode {
             }
 
             if record && (t % self.engine.sample_period).is_zero() {
-                let truth = self.plant.readings(t);
-                for inlet in &truth.pod_inlets {
-                    violation += (inlet.value() - self.desired_max.value()).max(0.0);
+                let (inlets, _) = self.plant.inlets_and_rh();
+                for inlet in inlets {
+                    violation += (inlet - self.desired_max.value()).max(0.0);
                 }
             }
 
-            let outside = OutsideConditions {
-                temperature: self.tmy.temperature_at(t),
-                abs_humidity: self.tmy.absolute_humidity_at(t),
-            };
+            let (temperature, abs_humidity) = self.tmy.outside_at(t);
+            let outside = OutsideConditions { temperature, abs_humidity };
             if record {
                 cooling_j += self.plant.cooling_power().value() * dt_s;
-                it_j += it.total().value() * dt_s;
+                it_j += self.it.total().value() * dt_s;
             }
             let actual = self.faults.apply_actuator(t, self.regime);
-            self.plant.step(self.engine.physics_step, outside, &it, actual);
+            self.plant.step(self.engine.physics_step, outside, &self.it, actual);
             self.t += self.engine.physics_step;
         }
         (violation, cooling_j / 3.6e6, it_j / 3.6e6)

@@ -169,12 +169,22 @@ impl ModelPlant {
         cooling_power(self.regime, self.infra)
     }
 
+    /// Pod inlet temperatures (°C) and cold-aisle relative humidity — the
+    /// snapshot's `pod_inlets` and `cold_aisle_rh`, without building it.
+    #[must_use]
+    pub fn inlets_and_rh(&self) -> (&[f64], RelativeHumidity) {
+        let mean = self.pod_temps.iter().sum::<f64>() / self.pod_temps.len() as f64;
+        let cold_abs = AbsoluteHumidity::new(self.abs_humidity);
+        (&self.pod_temps, psychro::relative_humidity(Celsius::new(mean), cold_abs))
+    }
+
     /// Sensor snapshot in the same shape the physics plant produces.
     #[must_use]
     pub fn readings(&self, now: SimTime) -> SensorReadings {
         let mean =
             self.pod_temps.iter().sum::<f64>() / self.pod_temps.len() as f64;
         let cold_abs = AbsoluteHumidity::new(self.abs_humidity);
+        let (_, cold_aisle_rh) = self.inlets_and_rh();
         SensorReadings {
             time: now,
             outside_temp: self.last_outside.temperature,
@@ -184,7 +194,7 @@ impl ModelPlant {
             ),
             outside_abs: self.last_outside.abs_humidity,
             pod_inlets: self.pod_temps.iter().map(|&t| Celsius::new(t)).collect(),
-            cold_aisle_rh: psychro::relative_humidity(Celsius::new(mean), cold_abs),
+            cold_aisle_rh,
             cold_aisle_abs: cold_abs,
             hot_aisle: Celsius::new(mean + 6.0),
             disk_temps: self

@@ -77,10 +77,8 @@ pub fn model_error_cdfs(
             if (t % sample).is_zero() {
                 samples.push(plant.readings(t));
             }
-            let outside = OutsideConditions {
-                temperature: tmy.temperature_at(t),
-                abs_humidity: tmy.absolute_humidity_at(t),
-            };
+            let (temperature, abs_humidity) = tmy.outside_at(t);
+            let outside = OutsideConditions { temperature, abs_humidity };
             let it = ItLoad::uniform(
                 pods,
                 Watts::new(util * SERVERS_PER_POD as f64 * 26.0),

@@ -198,6 +198,79 @@ pub struct PlantBank {
     last_it_power: Vec<Watts>,
     /// Active fraction of the last IT load per lane (for sensor snapshots).
     last_active_fraction: Vec<f64>,
+    /// Per-pod exchange rates and relaxation factor of each lane's applied
+    /// regime — `lanes × pods`, lane-major (see [`Relaxation`]).
+    pod_rates: Vec<PodRates>,
+    /// Per lane, the regime-and-`dt` key of `pod_rates` and the lane's
+    /// other relaxation factors.
+    relaxation: Vec<Relaxation>,
+    /// Saturation mixing ratio at the AC coil surface, g/kg.
+    coil_w: f64,
+}
+
+/// One pod's air-exchange rates (1/s) under a lane's applied regime, and
+/// the exact first-order relaxation factor `1 − e^(−total·dt)` they give.
+#[derive(Debug, Clone, Copy, Default)]
+struct PodRates {
+    fc: f64,
+    ac: f64,
+    rec: f64,
+    total: f64,
+    alpha: f64,
+}
+
+/// The `exp()` factors of one lane's step that depend only on the applied
+/// regime and `dt`. A lane holds a regime for many steps, so they are
+/// computed when the key changes and reused until it changes again; the
+/// arithmetic is the same, so the cached values carry the same bits.
+#[derive(Debug, Clone, Copy)]
+struct Relaxation {
+    /// The applied regime and step the factors (and the lane's
+    /// `pod_rates`) were computed for; `None` before the first step.
+    key: Option<(CoolingRegime, SimDuration)>,
+    /// Humidity exchange with the intake air.
+    vent: f64,
+    /// Coil condensation (0 with the compressor off).
+    coil: f64,
+    /// Disk temperature relaxation.
+    disk: f64,
+}
+
+impl Relaxation {
+    const UNSET: Relaxation = Relaxation { key: None, vent: 0.0, coil: 0.0, disk: 0.0 };
+
+    /// Computes the factors for `applied` over `dt`, writing each pod's
+    /// rates into `rates`.
+    fn compute(
+        cfg: &PlantConfig,
+        applied: CoolingRegime,
+        dt: SimDuration,
+        rates: &mut [PodRates],
+    ) -> Self {
+        let dt_s = dt.as_secs() as f64;
+        let fan = applied.fan_speed().fraction();
+        let comp = applied.compressor();
+        let ac_fan_on = matches!(applied, CoolingRegime::Ac { .. });
+        let recirc_base = match applied {
+            CoolingRegime::Closed => cfg.recirc_rate_closed,
+            CoolingRegime::FreeCooling { .. } => cfg.recirc_rate_fc,
+            CoolingRegime::Ac { .. } => cfg.recirc_rate_ac,
+        };
+        for (rate, (_, spec)) in rates.iter_mut().zip(cfg.layout.iter()) {
+            let fc = cfg.fc_rate_full * fan * spec.airflow_factor;
+            let ac = if ac_fan_on { cfg.ac_rate * spec.airflow_factor } else { 0.0 };
+            let rec = recirc_base * spec.recirc_factor;
+            let total = fc + ac + rec + cfg.leak_rate + cfg.aisle_mix_rate;
+            *rate = PodRates { fc, ac, rec, total, alpha: 1.0 - (-total * dt_s).exp() };
+        }
+        let g_vent = cfg.fc_rate_full * fan + cfg.leak_rate;
+        Relaxation {
+            key: Some((applied, dt)),
+            vent: 1.0 - (-g_vent * dt_s).exp(),
+            coil: if comp > 0.0 { 1.0 - (-cfg.ac_rate * comp * dt_s).exp() } else { 0.0 },
+            disk: 1.0 - (-dt_s / cfg.disk_tau_s).exp(),
+        }
+    }
 }
 
 impl PlantBank {
@@ -224,6 +297,10 @@ impl PlantBank {
             ],
             last_it_power: vec![Watts::ZERO; lanes],
             last_active_fraction: vec![0.0; lanes],
+            pod_rates: vec![PodRates::default(); lanes * pods],
+            relaxation: vec![Relaxation::UNSET; lanes],
+            coil_w: psychro::saturation_mixing_ratio(Celsius::new(config.ac_coil_temp))
+                .grams_per_kg(),
             config,
             lanes,
             pods,
@@ -319,6 +396,7 @@ impl PlantBank {
         let base = lane * self.pods;
         let pod_temps = &mut self.pod_temps[base..base + self.pods];
         let disk_temps = &mut self.disk_temps[base..base + self.pods];
+        let rates = &mut self.pod_rates[base..base + self.pods];
         let dt_s = dt.as_secs() as f64;
         let target = cfg.infrastructure.sanitize(commanded);
         self.applied[lane] = apply_actuators(self.applied[lane], target, cfg, dt_s);
@@ -328,6 +406,10 @@ impl PlantBank {
         let fan = applied.fan_speed().fraction();
         let comp = applied.compressor();
         let ac_fan_on = matches!(applied, CoolingRegime::Ac { .. });
+        if self.relaxation[lane].key != Some((applied, dt)) {
+            self.relaxation[lane] = Relaxation::compute(cfg, applied, dt, rates);
+        }
+        let relax = self.relaxation[lane];
 
         // --- Hot aisle -----------------------------------------------------
         // Flow-weighted mean of pod inlets plus the IT heat picked up
@@ -359,11 +441,6 @@ impl PlantBank {
         };
 
         // --- Pod temperatures ----------------------------------------------
-        let recirc_base = match applied {
-            CoolingRegime::Closed => cfg.recirc_rate_closed,
-            CoolingRegime::FreeCooling { .. } => cfg.recirc_rate_fc,
-            CoolingRegime::Ac { .. } => cfg.recirc_rate_ac,
-        };
         // Adiabatic pre-cooling of the intake air: evaporation pulls the
         // stream toward its wet bulb, adding ~0.41 g/kg of moisture per °C
         // of sensible cooling (constant-enthalpy line). The cooler stays
@@ -391,38 +468,24 @@ impl PlantBank {
             }
         }
         let intake_t = t_out - adiabatic_drop + cfg.duct_gain;
-        for (i, (_, spec)) in cfg.layout.iter().enumerate() {
-            let g_fc = cfg.fc_rate_full * fan * spec.airflow_factor;
-            let g_ac = if ac_fan_on { cfg.ac_rate * spec.airflow_factor } else { 0.0 };
-            let g_rec = recirc_base * spec.recirc_factor;
-            let g_leak = cfg.leak_rate;
-            let g_mix = cfg.aisle_mix_rate;
-            let g_tot = g_fc + g_ac + g_rec + g_leak + g_mix;
-            let t_eq = (g_fc * intake_t
-                + g_ac * supply
-                + g_rec * hot_aisle
-                + g_leak * t_out
-                + g_mix * mean_inlet)
-                / g_tot;
+        for (t, r) in pod_temps.iter_mut().zip(rates.iter()) {
+            let t_eq = (r.fc * intake_t
+                + r.ac * supply
+                + r.rec * hot_aisle
+                + cfg.leak_rate * t_out
+                + cfg.aisle_mix_rate * mean_inlet)
+                / r.total;
             // Exact first-order relaxation over dt.
-            let alpha = 1.0 - (-g_tot * dt_s).exp();
-            pod_temps[i] += alpha * (t_eq - pod_temps[i]);
+            *t += r.alpha * (t_eq - *t);
         }
 
         // --- Humidity --------------------------------------------------------
         let w_out = outside.abs_humidity.grams_per_kg() + intake_w_bonus;
-        let g_vent = cfg.fc_rate_full * fan + cfg.leak_rate;
-        let alpha_w = 1.0 - (-g_vent * dt_s).exp();
-        self.abs_humidity[lane] += alpha_w * (w_out - self.abs_humidity[lane]);
-        if comp > 0.0 {
-            // Coil condensation pulls moisture toward saturation at the
-            // coil surface temperature.
-            let w_coil = psychro::saturation_mixing_ratio(Celsius::new(cfg.ac_coil_temp))
-                .grams_per_kg();
-            if self.abs_humidity[lane] > w_coil {
-                let alpha_c = 1.0 - (-cfg.ac_rate * comp * dt_s).exp();
-                self.abs_humidity[lane] -= alpha_c * (self.abs_humidity[lane] - w_coil);
-            }
+        self.abs_humidity[lane] += relax.vent * (w_out - self.abs_humidity[lane]);
+        // Coil condensation pulls moisture toward saturation at the coil
+        // surface temperature.
+        if comp > 0.0 && self.abs_humidity[lane] > self.coil_w {
+            self.abs_humidity[lane] -= relax.coil * (self.abs_humidity[lane] - self.coil_w);
         }
         // Condensation on any surface if supersaturated at the coldest pod.
         let coldest = pod_temps.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -433,11 +496,10 @@ impl PlantBank {
 
         // --- Disks -----------------------------------------------------------
         let per_pod_peak = crate::pods::SERVERS_PER_POD as f64 * crate::server::SERVER_ACTIVE_PEAK_W;
-        let alpha_d = 1.0 - (-dt_s / cfg.disk_tau_s).exp();
         for (i, p) in it.pod_power.iter().enumerate() {
             let util = (p.value() / per_pod_peak).clamp(0.0, 1.0);
             let target = pod_temps[i] + cfg.disk_offset_base + cfg.disk_offset_util * util;
-            disk_temps[i] += alpha_d * (target - disk_temps[i]);
+            disk_temps[i] += relax.disk * (target - disk_temps[i]);
         }
 
         self.last_outside[lane] = outside;
@@ -452,16 +514,26 @@ impl PlantBank {
         cooling_power(self.applied[lane], self.config.infrastructure)
     }
 
+    /// One lane's pod inlet temperatures (°C) and cold-aisle relative
+    /// humidity — the `pod_inlets` and `cold_aisle_rh` of
+    /// [`PlantBank::readings_lane`], without the rest of the snapshot.
+    #[must_use]
+    pub fn inlets_and_rh_lane(&self, lane: usize) -> (&[f64], RelativeHumidity) {
+        let pod_temps = &self.pod_temps[lane * self.pods..(lane + 1) * self.pods];
+        // The cold-aisle humidity sensor sits near the warmer pods; use the
+        // mean inlet for the RH conversion.
+        let mean_inlet = pod_temps.iter().sum::<f64>() / pod_temps.len() as f64;
+        let cold_abs = AbsoluteHumidity::new(self.abs_humidity[lane]);
+        (pod_temps, psychro::relative_humidity(Celsius::new(mean_inlet), cold_abs))
+    }
+
     /// A snapshot of one lane's sensors, stamped with `now`.
     #[must_use]
     pub fn readings_lane(&self, lane: usize, now: SimTime) -> SensorReadings {
         let base = lane * self.pods;
-        let pod_temps = &self.pod_temps[base..base + self.pods];
         let disk_temps = &self.disk_temps[base..base + self.pods];
         let cold_abs = AbsoluteHumidity::new(self.abs_humidity[lane]);
-        // The cold-aisle humidity sensor sits near the warmer pods; use the
-        // mean inlet for the RH conversion.
-        let mean_inlet = pod_temps.iter().sum::<f64>() / pod_temps.len() as f64;
+        let (pod_temps, cold_aisle_rh) = self.inlets_and_rh_lane(lane);
         SensorReadings {
             time: now,
             outside_temp: self.last_outside[lane].temperature,
@@ -471,7 +543,7 @@ impl PlantBank {
             ),
             outside_abs: self.last_outside[lane].abs_humidity,
             pod_inlets: pod_temps.iter().map(|&t| Celsius::new(t)).collect(),
-            cold_aisle_rh: psychro::relative_humidity(Celsius::new(mean_inlet), cold_abs),
+            cold_aisle_rh,
             cold_aisle_abs: cold_abs,
             hot_aisle: Celsius::new(self.hot_aisle[lane]),
             disk_temps: disk_temps.iter().map(|&t| Celsius::new(t)).collect(),
@@ -543,6 +615,13 @@ impl Plant {
     #[must_use]
     pub fn readings(&self, now: SimTime) -> SensorReadings {
         self.bank.readings_lane(0, now)
+    }
+
+    /// Pod inlet temperatures (°C) and cold-aisle relative humidity — the
+    /// snapshot's `pod_inlets` and `cold_aisle_rh`, without building it.
+    #[must_use]
+    pub fn inlets_and_rh(&self) -> (&[f64], RelativeHumidity) {
+        self.bank.inlets_and_rh_lane(0)
     }
 
     /// The cooling power drawn in the applied regime (the snapshot's

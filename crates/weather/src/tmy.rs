@@ -100,7 +100,19 @@ impl TmySeries {
     /// Outside absolute humidity (mixing ratio) at simulation time `t`.
     #[must_use]
     pub fn absolute_humidity_at(&self, t: SimTime) -> AbsoluteHumidity {
-        psychro::absolute_humidity(self.temperature_at(t), self.humidity_at(t))
+        self.outside_at(t).1
+    }
+
+    /// Outside temperature and absolute humidity at `t` — the values of
+    /// [`TmySeries::temperature_at`] and [`TmySeries::absolute_humidity_at`]
+    /// from one interpolation, for a caller that needs both.
+    #[must_use]
+    pub fn outside_at(&self, t: SimTime) -> (Celsius, AbsoluteHumidity) {
+        let (i0, i1, frac) = self.interp_weights(t);
+        let lerp = |series: &[f64]| series[i0] * (1.0 - frac) + series[i1] * frac;
+        let temperature = Celsius::new(lerp(&self.temps));
+        let rh = RelativeHumidity::new(lerp(&self.rhs));
+        (temperature, psychro::absolute_humidity(temperature, rh))
     }
 
     /// The true hourly temperatures for day `day` (0-based, wrapped into the
@@ -136,12 +148,17 @@ impl TmySeries {
     }
 
     fn interp(&self, series: &[f64], t: SimTime) -> f64 {
-        let hours = t.as_hours_f64();
-        let len = series.len();
-        let i0 = hours.floor() as usize % len;
-        let i1 = (i0 + 1) % len;
-        let frac = hours.fract();
+        let (i0, i1, frac) = self.interp_weights(t);
         series[i0] * (1.0 - frac) + series[i1] * frac
+    }
+
+    /// The two hourly indices around `t` and the weight of the later one.
+    /// Both series share the year's length.
+    fn interp_weights(&self, t: SimTime) -> (usize, usize, f64) {
+        let hours = t.as_hours_f64();
+        let len = self.temps.len();
+        let i0 = hours.floor() as usize % len;
+        (i0, (i0 + 1) % len, hours.fract())
     }
 }
 

@@ -149,6 +149,11 @@ pub struct ClusterStats {
 pub struct Cluster {
     config: ClusterConfig,
     servers: Vec<ServerSlot>,
+    /// Each server's position in the placement priority order (index
+    /// order until [`Cluster::set_priority`] installs another).
+    rank: Vec<usize>,
+    /// Servers in the active state.
+    active: usize,
     jobs: VecDeque<RunningJob>,
     completed_jobs: u64,
     busy_server_seconds: f64,
@@ -170,6 +175,8 @@ impl Cluster {
             })
             .collect();
         Cluster {
+            rank: (0..config.total_servers).collect(),
+            active: config.total_servers,
             config,
             servers,
             jobs: VecDeque::new(),
@@ -190,7 +197,8 @@ impl Cluster {
 
     /// Submits a job to run as soon as its submission time arrives.
     pub fn submit(&mut self, job: Job) {
-        self.submit_with_start(job.clone(), job.submit);
+        let submit = job.submit;
+        self.submit_with_start(job, submit);
     }
 
     /// Submits a job that may not start before `earliest_start` — the hook
@@ -224,60 +232,52 @@ impl Cluster {
         d.min(self.config.total_servers)
     }
 
-    /// Sets which servers are active. The first `target` servers in
-    /// `priority` (or in index order when `None`) become active; the rest
-    /// are decommissioned and eventually sleep. Covering-subset servers are
-    /// always kept active regardless of the target.
+    /// Installs the placement priority order: [`Cluster::set_active_target`]
+    /// activates servers in this order from then on. The order is checked
+    /// here, once, so the per-tick target needs no validation.
     ///
     /// # Panics
     ///
-    /// Panics if `priority` is provided but is not a permutation of server
-    /// indices.
-    pub fn set_active_target(&mut self, target: usize, priority: Option<&[usize]>) {
-        let default_order: Vec<usize>;
-        let order: &[usize] = match priority {
-            Some(p) => {
-                assert_eq!(p.len(), self.servers.len(), "priority must cover all servers");
-                let mut seen = vec![false; self.servers.len()];
-                for &s in p {
-                    assert!(!seen[s], "priority has duplicate server {s}");
-                    seen[s] = true;
-                }
-                p
-            }
-            None => {
-                default_order = (0..self.servers.len()).collect();
-                &default_order
-            }
-        };
-        let target = target.min(self.servers.len());
-        let mut chosen = vec![false; self.servers.len()];
-        for &s in order.iter().take(target) {
-            chosen[s] = true;
+    /// Panics if `priority` is not a permutation of server indices.
+    pub fn set_priority(&mut self, priority: &[usize]) {
+        assert_eq!(priority.len(), self.servers.len(), "priority must cover all servers");
+        let mut seen = vec![false; self.servers.len()];
+        for (position, &s) in priority.iter().enumerate() {
+            assert!(!seen[s], "priority has duplicate server {s}");
+            seen[s] = true;
+            self.rank[s] = position;
         }
-        for (s, slot) in chosen.iter_mut().enumerate() {
-            if self.config.is_covering(s) {
-                *slot = true;
-            }
-        }
+    }
+
+    /// Sets which servers are active. The first `target` servers in the
+    /// priority order (index order unless [`Cluster::set_priority`] set
+    /// another) become active; the rest are decommissioned and eventually
+    /// sleep. Covering-subset servers are always kept active regardless of
+    /// the target.
+    pub fn set_active_target(&mut self, target: usize) {
+        let mut active = 0;
         for (s, slot) in self.servers.iter_mut().enumerate() {
-            if chosen[s] {
+            if self.rank[s] < target || self.config.is_covering(s) {
                 if slot.state != PowerState::Active {
                     slot.state = PowerState::Active;
                     slot.decommissioned_at = None;
                 }
+                active += 1;
             } else if slot.state == PowerState::Active {
                 slot.state = PowerState::Decommissioned;
                 // Timestamp set lazily at the next step.
             }
         }
+        self.active = active;
     }
 
     /// Advances execution by `dt` ending at `now + dt`.
     pub fn step(&mut self, now: SimTime, dt: SimDuration) -> ClusterStats {
         let dt_s = dt.as_secs() as f64;
 
-        // Decommissioned servers sleep once their grace expires.
+        // Decommissioned servers sleep once their grace expires; count the
+        // awake ones in the same pass (sleeping never changes `active`).
+        let mut awake = 0;
         for slot in &mut self.servers {
             if slot.state == PowerState::Decommissioned {
                 match slot.decommissioned_at {
@@ -290,10 +290,9 @@ impl Cluster {
                     _ => {}
                 }
             }
+            awake += usize::from(slot.state.is_awake());
         }
-
-        let active = self.servers.iter().filter(|s| s.state == PowerState::Active).count();
-        let awake = self.servers.iter().filter(|s| s.state.is_awake()).count();
+        let active = self.active;
 
         // Allocate slots to eligible jobs in arrival order.
         let mut free = active;
@@ -359,20 +358,29 @@ impl Cluster {
     /// fraction from the last step.
     #[must_use]
     pub fn pod_power(&self) -> Vec<Watts> {
+        let mut pods = Vec::new();
+        self.write_pod_power(&mut pods);
+        pods
+    }
+
+    /// [`Cluster::pod_power`] written into `pods` (one entry per pod), so a
+    /// caller refreshing the load every tick reuses one buffer. Each pod
+    /// sums its contiguous block of servers in server order.
+    pub fn write_pod_power(&self, pods: &mut Vec<Watts>) {
         // Every server draws one of three values; evaluate each once.
         let active = coolair_thermal_server_power(self.last_busy_fraction, false);
         let idle = coolair_thermal_server_power(0.0, false);
         let asleep = coolair_thermal_server_power(0.0, true);
-        let per_pod = self.config.servers_per_pod();
-        let mut pods = vec![Watts::ZERO; self.config.pods];
-        for (s, slot) in self.servers.iter().enumerate() {
-            pods[s / per_pod] += match slot.state {
-                PowerState::Active => active,
-                PowerState::Decommissioned => idle,
-                PowerState::Sleep => asleep,
-            };
-        }
-        pods
+        pods.clear();
+        pods.extend(self.servers.chunks(self.config.servers_per_pod()).map(|servers| {
+            servers.iter().fold(Watts::ZERO, |sum, slot| {
+                sum + match slot.state {
+                    PowerState::Active => active,
+                    PowerState::Decommissioned => idle,
+                    PowerState::Sleep => asleep,
+                }
+            })
+        }));
     }
 
     /// Total IT power draw.
@@ -384,8 +392,7 @@ impl Cluster {
     /// Fraction of servers active (the paper's datacenter "utilization").
     #[must_use]
     pub fn active_fraction(&self) -> f64 {
-        let active = self.servers.iter().filter(|s| s.state == PowerState::Active).count();
-        active as f64 / self.servers.len() as f64
+        self.active as f64 / self.servers.len() as f64
     }
 
     /// Power state of server `s`.
@@ -422,12 +429,11 @@ impl Cluster {
         self.busy_server_seconds
     }
 
-    /// Busy slots as a fraction of active servers in the last step.
+    /// Servers doing work in the last step: its busy fraction times the
+    /// active servers, rounded to a count.
     #[must_use]
     pub fn busy_servers(&self) -> usize {
-        (self.last_busy_fraction
-            * self.servers.iter().filter(|s| s.state == PowerState::Active).count() as f64)
-            .round() as usize
+        (self.last_busy_fraction * self.active as f64).round() as usize
     }
 
     /// Total disk power cycles (sleep entries) across all servers.
@@ -575,7 +581,7 @@ mod tests {
     fn covering_subset_never_sleeps() {
         let cfg = ClusterConfig::parasol();
         let mut c = Cluster::new(cfg.clone());
-        c.set_active_target(0, None);
+        c.set_active_target(0);
         // Run past the grace period.
         let mut now = SimTime::EPOCH;
         for _ in 0..30 {
@@ -597,7 +603,7 @@ mod tests {
     #[test]
     fn decommission_grace_delays_sleep() {
         let mut c = Cluster::new(ClusterConfig::parasol());
-        c.set_active_target(0, None);
+        c.set_active_target(0);
         c.step(SimTime::EPOCH, SimDuration::from_minutes(1));
         assert_eq!(c.server_state(63), PowerState::Decommissioned);
         // 10 minutes in: still awake.
@@ -615,7 +621,8 @@ mod tests {
         let mut c = Cluster::new(cfg.clone());
         // Reverse order: highest-index servers first.
         let priority: Vec<usize> = (0..cfg.total_servers).rev().collect();
-        c.set_active_target(16, Some(&priority));
+        c.set_priority(&priority);
+        c.set_active_target(16);
         // Servers 48..64 active (plus covering).
         assert_eq!(c.server_state(63), PowerState::Active);
         assert_eq!(c.server_state(20), PowerState::Decommissioned);
@@ -625,14 +632,14 @@ mod tests {
     #[test]
     fn waking_servers_returns_capacity() {
         let mut c = Cluster::new(ClusterConfig::parasol());
-        c.set_active_target(0, None);
+        c.set_active_target(0);
         let mut now = SimTime::EPOCH;
         for _ in 0..25 {
             c.step(now, SimDuration::from_minutes(1));
             now += SimDuration::from_minutes(1);
         }
         assert!(c.active_fraction() < 0.2);
-        c.set_active_target(64, None);
+        c.set_active_target(64);
         let stats = c.step(now, SimDuration::from_minutes(1));
         assert_eq!(stats.active_servers, 64);
     }
@@ -643,7 +650,7 @@ mod tests {
         let mut c = Cluster::new(cfg);
         let full = c.total_power();
         assert!((full.value() - 64.0 * 22.0).abs() < 1e-9, "all idle active: {full}");
-        c.set_active_target(0, None);
+        c.set_active_target(0);
         let mut now = SimTime::EPOCH;
         for _ in 0..25 {
             c.step(now, SimDuration::from_minutes(1));
@@ -745,6 +752,6 @@ mod tests {
     #[should_panic(expected = "priority must cover all servers")]
     fn rejects_short_priority() {
         let mut c = Cluster::new(ClusterConfig::parasol());
-        c.set_active_target(10, Some(&[0, 1, 2]));
+        c.set_priority(&[0, 1, 2]);
     }
 }

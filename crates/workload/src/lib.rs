@@ -29,7 +29,7 @@
 //! for job in trace.jobs_for_day(0) {
 //!     cluster.submit(job);
 //! }
-//! cluster.set_active_target(cluster.config().total_servers, None);
+//! cluster.set_active_target(cluster.config().total_servers);
 //! let mut t = SimTime::EPOCH;
 //! for _ in 0..60 {
 //!     cluster.step(t, SimDuration::from_minutes(1));

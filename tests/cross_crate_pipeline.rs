@@ -71,13 +71,13 @@ fn coolair_full_stack_day_newark() {
 
     // Compute sizing responds to the workload's demand profile.
     let trace = facebook_trace(3);
-    let (t0, _) = coolair.decide_compute(0, 8);
+    let t0 = coolair.decide_compute(0, 8);
     assert_eq!(t0, 0);
-    let (t1, order) = coolair.decide_compute(40, 8);
+    let t1 = coolair.decide_compute(40, 8);
     assert_eq!(t1, 40);
-    assert_eq!(order.len(), 64);
+    assert_eq!(coolair.server_priority().len(), 64);
     // Hold-down: a transient dip keeps servers awake.
-    let (t2, _) = coolair.decide_compute(5, 8);
+    let t2 = coolair.decide_compute(5, 8);
     assert_eq!(t2, 40, "demand hold-down should retain the recent peak");
 
     // Band exists after the first cooling decision.

@@ -1,5 +1,6 @@
 //! Properties of the learned-control testbed: episode trajectories are
-//! byte-identical for the same (spec, actions) pair, a daemon-served
+//! byte-identical for the same (spec, actions) pair (and a faulted,
+//! backlogged episode matches a pinned digest), a daemon-served
 //! episode reproduces the local one bit for bit over the socket, a killed
 //! training run resumes byte-identically from a half-populated store, and
 //! the headline acceptance claim — on the shipped suite, the best learned
@@ -281,4 +282,38 @@ fn tks_row_is_the_fixed_baseline_policy() {
     let tks = row(&outcome, "tks");
     assert_eq!(total.violation_cmin, tks.violation_cmin);
     assert_eq!(total.energy_kwh, tks.energy_kwh);
+}
+
+/// A seeded, faulted Chad episode whose server targets sit below demand (so
+/// the job queue backs up) serializes to the trajectory it did before the
+/// allocation-free compute tick and the snapshot-free sampling: the pin
+/// covers job arrivals moved into the cluster, the reused IT-load buffers,
+/// fault-corrupted observations and the plant's relaxation cache with the
+/// AC running.
+#[test]
+fn faulted_backlogged_chad_episode_matches_its_pinned_digest() {
+    use coolair_suite::runner::stable_digest;
+    use coolair_suite::sim::FaultSpec;
+
+    let mut spec = EpisodeSpec::seeded(Location::chad(), 13);
+    spec.scenario.fault = FaultSpec::random(7, 1.5);
+    let mut ep = Episode::new(&spec).expect("valid spec");
+    let mut trajectory = Vec::new();
+    let mut backed_up = 0;
+    let mut i = 0usize;
+    while !ep.is_done() {
+        let action = Action {
+            setpoint_c: 24.0 + (i % 9) as f64,
+            active_servers: 8 + (i * 5) % 17,
+        };
+        let step = ep.step(&action).expect("not done");
+        if step.observation.demand_fraction > step.observation.active_fraction {
+            backed_up += 1;
+        }
+        trajectory.push(step);
+        i += 1;
+    }
+    assert!(backed_up > 10, "the targets must leave demand unserved ({backed_up} steps)");
+    let got = stable_digest(&(trajectory, ep.total_reward(), ep.cooling_kwh(), ep.it_kwh()));
+    assert_eq!(got.to_string(), "58771148fed62f19", "the episode's trajectory changed");
 }

@@ -13,8 +13,13 @@
 //!    the per-tick anchor cache is on the compared path.
 //! 2. **Pinned closed-loop days** — two All-ND days on the smooth plant
 //!    serialize to a digest captured before the anchor cache and the day
-//!    loops' hoisted per-step work, so neither can change a simulated
-//!    number.
+//!    loops' hoisted per-step work, and every system of the Figs 8–10 grid
+//!    on both infrastructures to one captured before the allocation-free
+//!    compute tick, the plant's relaxation cache, the snapshot-free
+//!    sampling and the reused prediction buffers, so none of them can
+//!    change a simulated number.
+//! 3. **Pinned model bytes** — a quick-trained Cooling Model serializes to
+//!    the JSON it did before its table became dense.
 
 use coolair_suite::core::manager::predictor::{predict_regime, PredictionContext};
 use coolair_suite::core::{train_cooling_model, CoolAir, CoolAirConfig, TrainingConfig, Version};
@@ -343,4 +348,86 @@ fn all_nd_days_match_their_pinned_digest() {
     let days = [21u64, 200u64].map(|day| sim.run_day(day, trace.jobs_for_day(day)));
     let digest = stable_digest(&days).to_string();
     assert_eq!(digest, "fa3d95e809fa12ce", "simulated days changed");
+}
+
+/// Every system of the Figs 8–10 grid, on both infrastructures, simulates
+/// two Newark days whose minute-level JSON matches a digest pinned before
+/// the allocation-free compute tick, the plant's relaxation cache, the
+/// snapshot-free sampling and the optimizer's reused prediction buffers:
+/// one digest per (system, infrastructure) pair. Parasol never blends, so
+/// its rows cover the optimizer without the anchor cache.
+#[test]
+fn every_system_day_matches_its_pinned_digest() {
+    use coolair_suite::core::{SupervisedCoolAir, SupervisorConfig};
+    use coolair_suite::thermal::{TksConfig, TksController};
+
+    let location = Location::newark();
+    let tmy = TmySeries::generate(&location, 42);
+    let model = train_cooling_model(&tmy, &TrainingConfig::quick());
+    let trace = facebook_trace(1);
+    let pins: [(&str, Infrastructure, &str); 12] = [
+        ("Baseline", Infrastructure::Smooth, "ba578e57ff86c8f7"),
+        ("Baseline", Infrastructure::Parasol, "87fb2537d74374c9"),
+        ("Temperature", Infrastructure::Smooth, "a1e987c5b2ab6c3d"),
+        ("Temperature", Infrastructure::Parasol, "691c035c843d5938"),
+        ("Energy", Infrastructure::Smooth, "ab1097186ea37ccf"),
+        ("Energy", Infrastructure::Parasol, "d87c3ade07589b4e"),
+        ("Variation", Infrastructure::Smooth, "42e1532c0d9cff6f"),
+        ("Variation", Infrastructure::Parasol, "e7edc407c94e7313"),
+        ("All-ND", Infrastructure::Smooth, "fa3d95e809fa12ce"),
+        ("All-ND", Infrastructure::Parasol, "91b7c09ec5ee0081"),
+        ("All-ND+SV", Infrastructure::Smooth, "fa3d95e809fa12ce"),
+        ("All-ND+SV", Infrastructure::Parasol, "91b7c09ec5ee0081"),
+    ];
+    let mut mismatches = Vec::new();
+    for (system, infra, want) in pins {
+        let coolair = |version| {
+            CoolAir::new(
+                version,
+                CoolAirConfig::default(),
+                model.clone(),
+                Forecaster::perfect(tmy.clone()),
+                infra,
+            )
+        };
+        let controller = match system {
+            "Baseline" => SimController::Baseline(TksController::new(TksConfig::baseline())),
+            "Temperature" => SimController::CoolAir(Box::new(coolair(Version::Temperature))),
+            "Energy" => SimController::CoolAir(Box::new(coolair(Version::Energy))),
+            "Variation" => SimController::CoolAir(Box::new(coolair(Version::Variation))),
+            "All-ND" => SimController::CoolAir(Box::new(coolair(Version::AllNd))),
+            _ => SimController::Supervised(Box::new(SupervisedCoolAir::new(
+                coolair(Version::AllNd),
+                SupervisorConfig::default(),
+            ))),
+        };
+        let plant = match infra {
+            Infrastructure::Parasol => PlantConfig::parasol(),
+            Infrastructure::Smooth => PlantConfig::smooth(),
+        };
+        let mut sim = Simulation::new(
+            controller,
+            plant,
+            Cluster::new(ClusterConfig::parasol()),
+            tmy.clone(),
+            SimConfig { record_minutes: true, ..SimConfig::default() },
+        );
+        let days = [21u64, 200u64].map(|day| sim.run_day(day, trace.jobs_for_day(day)));
+        let got = stable_digest(&days).to_string();
+        if got != want {
+            mismatches.push(format!("{system} on {infra:?}: {got} (pinned {want})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "simulated days changed:\n{}", mismatches.join("\n"));
+}
+
+/// A quick-trained Cooling Model serializes to the bytes it did before the
+/// model table became dense: trained models are store artifacts, so their
+/// sorted pair-list JSON form may not move by a byte.
+#[test]
+fn quick_trained_model_json_matches_its_pinned_digest() {
+    let model = shared_model();
+    let json = serde_json::to_string(model).expect("model serializes");
+    let got = format!("{} bytes, digest {}", json.len(), stable_digest(model));
+    assert_eq!(got, "6532 bytes, digest 92aa55eaa3335a69", "model JSON changed");
 }
