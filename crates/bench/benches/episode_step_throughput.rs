@@ -4,7 +4,11 @@
 //! daemon's `POST /episodes/{id}/step` over a loopback keep-alive
 //! socket. The served path pays HTTP parse/route/encode plus the socket
 //! round trip on top of the same physics, so the two rows bracket the
-//! protocol overhead a remote learner pays per decision.
+//! protocol overhead a remote learner pays per decision. The local path
+//! runs twice: `episode/local_step` keeps every server active, so its job
+//! queue never backs up, and `episode/local_step_backlog` follows a
+//! learner's schedule, whose targets below demand leave hundreds of jobs
+//! queued.
 //!
 //! Episode *creation* (warm-up simulation) is timed separately — it is a
 //! one-off cost per episode, not part of the step loop.
@@ -18,6 +22,9 @@ use coolair_sim::{Action, Episode, EpisodeSpec};
 use coolair_telemetry::Telemetry;
 use coolair_units::SimDuration;
 use coolair_weather::Location;
+use coolair_workload::ClusterConfig;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Full local episodes stepped back to back (each is one simulated day).
 const LOCAL_EPISODES: usize = 3;
@@ -30,29 +37,56 @@ fn bench_spec() -> EpisodeSpec {
     spec
 }
 
-/// A mid-band action that keeps the TKS hysteresis exercised.
+/// A mid-band action that keeps the TKS hysteresis exercised. Every
+/// server stays active, so the job queue never backs up.
 fn bench_action(step: u64) -> Action {
     Action { setpoint_c: 26.0 + (step % 5) as f64 * 2.0, active_servers: 64 }
 }
 
-/// Local path: steps/s through `Episode::step`, plus the one-off
-/// creation (warm-up) cost.
-fn local_rows(spec: &EpisodeSpec) -> (Vec<PerfEntry>, f64) {
-    let t0 = Instant::now();
-    let mut episodes: Vec<Episode> =
-        (0..LOCAL_EPISODES).map(|_| Episode::new(spec).expect("valid spec")).collect();
-    let create_ns = t0.elapsed().as_nanos() as f64 / LOCAL_EPISODES as f64;
+/// A learner's schedule: a setpoint in 22–32 °C in 0.5 °C steps and an
+/// active-server target uniform over the covering subset..=64, redrawn
+/// every decision. Targets below demand back the job queue up.
+fn learner_actions(steps: u64) -> Vec<Action> {
+    let cluster = ClusterConfig::parasol();
+    let mut rng = StdRng::seed_from_u64(11);
+    (0..steps)
+        .map(|_| Action {
+            setpoint_c: 22.0 + f64::from(rng.gen_range(0..=20u32)) * 0.5,
+            active_servers: rng.gen_range(cluster.covering_count..=cluster.total_servers),
+        })
+        .collect()
+}
 
-    let steps = spec.steps();
+/// Mean time of one `Episode::step` over `episodes` stepped to the end,
+/// acting `action(i)` at step `i`.
+fn mean_step_ns(episodes: &mut [Episode], action: impl Fn(u64) -> Action) -> f64 {
     let t0 = Instant::now();
-    for ep in &mut episodes {
-        for i in 0..steps {
-            std::hint::black_box(ep.step(&bench_action(i)).expect("not done"));
+    let mut steps = 0u64;
+    for ep in episodes {
+        while !ep.is_done() {
+            std::hint::black_box(ep.step(&action(ep.steps_taken())).expect("not done"));
+            steps += 1;
         }
     }
-    let total_steps = steps * LOCAL_EPISODES as u64;
-    let per_step_ns = t0.elapsed().as_nanos() as f64 / total_steps as f64;
+    t0.elapsed().as_nanos() as f64 / steps as f64
+}
+
+/// Local path: steps/s through `Episode::step` under the all-active
+/// action and under the learner's schedule, plus the one-off creation
+/// (warm-up) cost.
+fn local_rows(spec: &EpisodeSpec) -> (Vec<PerfEntry>, f64) {
+    let create = || -> Vec<Episode> {
+        (0..LOCAL_EPISODES).map(|_| Episode::new(spec).expect("valid spec")).collect()
+    };
+    let t0 = Instant::now();
+    let mut episodes = create();
+    let create_ns = t0.elapsed().as_nanos() as f64 / LOCAL_EPISODES as f64;
+
+    let total_steps = spec.steps() * LOCAL_EPISODES as u64;
+    let per_step_ns = mean_step_ns(&mut episodes, bench_action);
     let steps_per_s = 1e9 / per_step_ns.max(1.0);
+    let learner = learner_actions(spec.steps());
+    let backlog_step_ns = mean_step_ns(&mut create(), |i| learner[i as usize].clone());
 
     let rows = vec![
         PerfEntry {
@@ -64,6 +98,12 @@ fn local_rows(spec: &EpisodeSpec) -> (Vec<PerfEntry>, f64) {
         PerfEntry {
             name: "episode/local_step".to_string(),
             median_ns: per_step_ns.round() as u64,
+            samples: total_steps,
+            unit: Some("ns".to_string()),
+        },
+        PerfEntry {
+            name: "episode/local_step_backlog".to_string(),
+            median_ns: backlog_step_ns.round() as u64,
             samples: total_steps,
             unit: Some("ns".to_string()),
         },

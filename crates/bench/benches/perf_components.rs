@@ -45,11 +45,23 @@ fn bench_plant_step(c: &mut Criterion) {
 }
 
 fn bench_cluster_compute_tick(c: &mut Criterion) {
-    // One simulated minute of compute management as the day loops run it:
-    // submit the jobs that arrived, size the active set to demand, step the
-    // cluster, refresh the IT load in place. Day 100 of the Facebook trace
-    // is replayed from midnight to noon first, so the timed ticks see a
-    // midday queue.
+    // The Compute Manager's rule: the active set sized to demand.
+    bench_compute_tick(c, "cluster_compute_tick", |cluster, now| {
+        cluster.demand(now).max(cluster.config().covering_count)
+    });
+    // The active set capped at the covering subset, as a learner that sheds
+    // servers leaves it: about 1 600 jobs are queued by noon.
+    bench_compute_tick(c, "cluster_compute_tick_backlog", |cluster, now| {
+        cluster.demand(now).min(cluster.config().covering_count)
+    });
+}
+
+/// One simulated minute of compute management as the day loops run it:
+/// submit the jobs that arrived, set the active target, step the cluster,
+/// refresh the IT load in place. Day 100 of the Facebook trace is replayed
+/// from midnight to noon under the same target first, so the timed ticks
+/// see a midday queue.
+fn bench_compute_tick(c: &mut Criterion, name: &str, target: fn(&Cluster, SimTime) -> usize) {
     let mut pending: VecDeque<coolair_workload::Job> = {
         let mut jobs = facebook_trace(1).jobs_for_day(100);
         jobs.sort_by_key(|j| j.submit);
@@ -63,8 +75,7 @@ fn bench_cluster_compute_tick(c: &mut Criterion) {
         while let Some(job) = pending.pop_front_if(|j| j.submit <= now) {
             cluster.submit(job);
         }
-        let target = cluster.demand(now).max(cluster.config().covering_count);
-        cluster.set_active_target(target);
+        cluster.set_active_target(target(&cluster, now));
         cluster.step(now, minute);
         cluster.write_pod_power(&mut it.pod_power);
         it.active_fraction = cluster.active_fraction();
@@ -74,7 +85,7 @@ fn bench_cluster_compute_tick(c: &mut Criterion) {
     for _ in 0..12 * 60 {
         tick();
     }
-    c.bench_function("cluster_compute_tick", |b| b.iter(&mut tick));
+    c.bench_function(name, |b| b.iter(&mut tick));
 }
 
 fn bench_model_predict(c: &mut Criterion) {

@@ -5,13 +5,14 @@
 //! artifact streams go out chunked). That split keeps every endpoint
 //! testable without a live listener.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::str::FromStr;
 
 use coolair_runner::{ArtifactError, Campaign, Digest};
 use coolair_sim::jobs::{AnnualJob, KIND_ANNUAL_SUMMARY};
 use coolair_sim::{Action, Episode, EpisodeSpec};
-use serde::{Deserialize, Serialize as _, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::http::{path_segments, Request, Response};
 use crate::jobs::{ticket_for, EnqueueOutcome, JobRecord, JobState, QueuedJob};
@@ -55,7 +56,7 @@ fn s(text: impl Into<String>) -> Value {
 }
 
 impl Reply {
-    fn json(status: u16, value: &Value) -> Reply {
+    fn json<T: Serialize>(status: u16, value: &T) -> Reply {
         Reply::Full(Response::json(status, value))
     }
 
@@ -363,7 +364,10 @@ fn episode_status(id: &str, ep: &Episode) -> Value {
 /// [`EpisodeSpec`], optionally wrapped as `{"episode": {...}}` to mirror
 /// the job-submission envelope. Creation is bounded like the job queue:
 /// past `max_episodes` (after evicting finished episodes) the reply is
-/// `503 Retry-After`.
+/// `503 Retry-After`. The episode is built (TMY generation plus warm-up,
+/// a few milliseconds) without the registry lock, so steps on other
+/// event loops never wait behind it; the registry checks run again once
+/// the lock is retaken.
 fn create_episode(state: &AppState, body: &[u8]) -> Reply {
     if state.is_shutting_down() {
         return Reply::error(503, "daemon is draining");
@@ -387,30 +391,48 @@ fn create_episode(state: &AppState, body: &[u8]) -> Reply {
         return Reply::error(400, &format!("bad episode spec: {e}"));
     }
     let id = spec.digest().to_string();
+    let refused = refuse_episode(state, &mut state.episodes.lock(), &id);
+    if let Some(reply) = refused {
+        return reply;
+    }
+    let episode = match Episode::new(&spec) {
+        Ok(ep) => ep,
+        Err(e) => return Reply::error(400, &format!("bad episode spec: {e}")),
+    };
     let mut episodes = state.episodes.lock();
-    // Same spec → same digest → same episode: answer the live one instead
-    // of resetting it.
-    if let Some(existing) = episodes.get(&id) {
-        return Reply::json(200, &episode_status(&id, existing));
+    // Another request may have created this episode, or filled the
+    // registry, while this one was being built.
+    if let Some(reply) = refuse_episode(state, &mut episodes, &id) {
+        return reply;
+    }
+    let status = episode_status(&id, &episode);
+    episodes.insert(id, episode);
+    Reply::json(201, &status)
+}
+
+/// The reply that stops creating episode `id`, if any: `200` with the live
+/// episode's status (same spec → same digest → same episode, answered
+/// instead of reset), or `503 Retry-After` when the registry is full even
+/// after evicting finished episodes.
+fn refuse_episode(
+    state: &AppState,
+    episodes: &mut BTreeMap<String, Episode>,
+    id: &str,
+) -> Option<Reply> {
+    if let Some(existing) = episodes.get(id) {
+        return Some(Reply::json(200, &episode_status(id, existing)));
     }
     if episodes.len() >= state.cfg.max_episodes {
         // Finished episodes are kept for late GETs but are the first to
         // go under pressure.
         episodes.retain(|_, ep| !ep.is_done());
     }
-    if episodes.len() >= state.cfg.max_episodes {
-        return Reply::Full(
+    (episodes.len() >= state.cfg.max_episodes).then(|| {
+        Reply::Full(
             Response::json(503, &obj(vec![("error", s("episode registry full"))]))
                 .with_header("retry-after", "1"),
-        );
-    }
-    let episode = match Episode::new(&spec) {
-        Ok(ep) => ep,
-        Err(e) => return Reply::error(400, &format!("bad episode spec: {e}")),
-    };
-    let status = episode_status(&id, &episode);
-    episodes.insert(id, episode);
-    Reply::json(201, &status)
+        )
+    })
 }
 
 /// `GET /episodes/{id}` — live-episode status, or `404`.
@@ -450,7 +472,7 @@ fn step_episode(state: &AppState, id: &str, body: &[u8]) -> Reply {
         return Reply::error(409, "episode is done");
     }
     match episode.step(&action) {
-        Ok(result) => Reply::json(200, &result.to_value()),
+        Ok(result) => Reply::json(200, &result),
         Err(e) => Reply::error(409, &e),
     }
 }
@@ -789,6 +811,27 @@ mod tests {
             };
             assert_eq!(handle(&state, &req).status(), 405, "{target}");
         }
+    }
+
+    #[test]
+    fn concurrent_creates_of_one_spec_make_one_episode() {
+        let (state, _rx) = state_with_depth(1);
+        let body = serde_json::to_vec(&episode_spec(5)).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let mut statuses: Vec<u16> = std::thread::scope(|scope| {
+            let creates: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        post(&state, "/episodes", &body).status()
+                    })
+                })
+                .collect();
+            creates.into_iter().map(|c| c.join().expect("create panicked")).collect()
+        });
+        statuses.sort_unstable();
+        assert_eq!(statuses, [200, 201], "one create builds the episode, the other finds it");
+        assert_eq!(state.episodes.lock().len(), 1);
     }
 
     #[test]

@@ -46,6 +46,10 @@ impl TmySeries {
         // Day-scale humidity anomaly, also AR(1).
         let mut rh_anomaly = 0.0_f64;
         let stationary = (1.0 - c.synoptic_persistence * c.synoptic_persistence).sqrt();
+        // Both diurnal terms follow one cosine of the hour; every day
+        // shares its 24 values.
+        let hour_cos: [f64; 24] =
+            std::array::from_fn(|hour| (2.0 * PI * (hour as f64 - 14.5) / 24.0).cos());
 
         for day in 0..365 {
             synoptic = c.synoptic_persistence * synoptic
@@ -55,10 +59,8 @@ impl TmySeries {
             let diurnal_scale = 0.6 + 0.4 * rng.gen::<f64>();
             let base = c.seasonal_mean(day as f64);
 
-            for hour in 0..24 {
-                let diurnal = -c.diurnal_amplitude
-                    * diurnal_scale
-                    * (2.0 * PI * (hour as f64 - 14.5) / 24.0).cos();
+            for cos in hour_cos {
+                let diurnal = -c.diurnal_amplitude * diurnal_scale * cos;
                 // The paper's diurnal term peaks mid-afternoon; cos(0)=1 at
                 // 14.5h, and the leading minus flips the cosine so 14.5h is
                 // the warmest hour.
@@ -66,8 +68,7 @@ impl TmySeries {
                 let t = base + synoptic - diurnal + noise;
 
                 // RH swings opposite the diurnal temperature term.
-                let rh_diurnal =
-                    c.diurnal_rh_amplitude * (2.0 * PI * (hour as f64 - 14.5) / 24.0).cos();
+                let rh_diurnal = c.diurnal_rh_amplitude * cos;
                 let rh = (c.mean_rh + rh_anomaly + rh_diurnal).clamp(3.0, 100.0);
 
                 temps.push(t);

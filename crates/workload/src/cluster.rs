@@ -111,6 +111,10 @@ impl DelayStats {
 }
 
 impl RunningJob {
+    fn has_work(&self) -> bool {
+        self.remaining_map > 0.0 || self.remaining_reduce > 0.0
+    }
+
     fn current_parallelism(&self) -> usize {
         if self.remaining_map > 0.0 {
             self.job.map_tasks as usize
@@ -155,6 +159,10 @@ pub struct Cluster {
     /// Servers in the active state.
     active: usize,
     jobs: VecDeque<RunningJob>,
+    /// A job with no positive work was queued since the last step, so
+    /// that step drops finished jobs over the whole queue, not just the
+    /// prefix it visited.
+    workless_queued: bool,
     completed_jobs: u64,
     busy_server_seconds: f64,
     last_busy_fraction: f64,
@@ -180,6 +188,7 @@ impl Cluster {
             config,
             servers,
             jobs: VecDeque::new(),
+            workless_queued: false,
             completed_jobs: 0,
             busy_server_seconds: 0.0,
             last_busy_fraction: 0.0,
@@ -210,26 +219,33 @@ impl Cluster {
             _ => earliest_start,
         };
         let earliest = earliest.max(job.submit);
-        self.jobs.push_back(RunningJob {
+        let queued = RunningJob {
             remaining_map: job.map_work,
             remaining_reduce: job.reduce_work,
             started: false,
             earliest_start: earliest,
             job,
-        });
+        };
+        self.workless_queued |= !queued.has_work();
+        self.jobs.push_back(queued);
     }
 
     /// Servers the queued-and-eligible work could use right now, capped at
     /// the cluster size. The Compute Manager sizes the active set from this.
     #[must_use]
     pub fn demand(&self, now: SimTime) -> usize {
-        let d: usize = self
-            .jobs
-            .iter()
-            .filter(|j| j.job.submit <= now && (j.started || j.eligible(now)))
-            .map(RunningJob::current_parallelism)
-            .sum();
-        d.min(self.config.total_servers)
+        // The sum only grows, so the scan stops once it reaches the cap.
+        let cap = self.config.total_servers;
+        let mut d = 0;
+        for j in &self.jobs {
+            if d >= cap {
+                break;
+            }
+            if j.job.submit <= now && (j.started || j.eligible(now)) {
+                d += j.current_parallelism();
+            }
+        }
+        d.min(cap)
     }
 
     /// Installs the placement priority order: [`Cluster::set_active_target`]
@@ -294,14 +310,17 @@ impl Cluster {
         }
         let active = self.active;
 
-        // Allocate slots to eligible jobs in arrival order.
+        // Allocate slots to eligible jobs in arrival order, up to the first
+        // job met with no slot free: only the `visited` prefix can lose work.
         let mut free = active;
         let mut busy = 0usize;
         let mut completed_now = 0u64;
+        let mut visited = 0;
         for rj in &mut self.jobs {
             if free == 0 {
                 break;
             }
+            visited += 1;
             if rj.job.submit > now || !rj.eligible(now) {
                 continue;
             }
@@ -341,7 +360,11 @@ impl Cluster {
             free -= slots;
             busy += slots;
         }
-        self.jobs.retain(|rj| rj.remaining_map > 0.0 || rj.remaining_reduce > 0.0);
+        // Every job that finished was visited (and counted above); a
+        // workless submission can sit anywhere and leaves uncounted.
+        let bound =
+            if std::mem::take(&mut self.workless_queued) { self.jobs.len() } else { visited };
+        self.drop_finished(bound);
         self.completed_jobs += completed_now;
         self.busy_server_seconds += busy as f64 * dt_s;
         self.last_busy_fraction = if active > 0 { busy as f64 / active as f64 } else { 0.0 };
@@ -352,6 +375,20 @@ impl Cluster {
             awake_servers: awake,
             completed: completed_now,
         }
+    }
+
+    /// Drops the jobs with no work left among the first `bound`, keeping
+    /// arrival order: kept jobs move back to the end of the prefix, then the
+    /// finished ones leave from the front. Jobs past `bound` are not read.
+    fn drop_finished(&mut self, bound: usize) {
+        let mut kept_from = bound;
+        for i in (0..bound).rev() {
+            if self.jobs[i].has_work() {
+                kept_from -= 1;
+                self.jobs.swap(i, kept_from);
+            }
+        }
+        self.jobs.drain(..kept_from);
     }
 
     /// Per-pod electrical power draw given the current states and the busy
@@ -753,5 +790,128 @@ mod tests {
     fn rejects_short_priority() {
         let mut c = Cluster::new(ClusterConfig::parasol());
         c.set_priority(&[0, 1, 2]);
+    }
+
+    #[test]
+    fn workless_job_behind_a_saturated_cluster_is_dropped_uncounted() {
+        let mut c = Cluster::new(ClusterConfig::parasol());
+        // Two wide jobs take every slot for hours; the third has no work.
+        c.submit(quick_job(1, 0, 1e7, 64));
+        c.submit(quick_job(2, 0, 1e7, 64));
+        let mut workless = quick_job(3, 0, 0.0, 4);
+        workless.reduce_tasks = 0;
+        c.submit(workless);
+        let stats = c.step(SimTime::EPOCH, SimDuration::from_minutes(1));
+        assert_eq!(stats.busy_slots, 64);
+        assert_eq!(stats.completed, 0);
+        assert_eq!(c.completed_jobs(), 0, "a dropped job is not a completed one");
+        assert_eq!(c.outstanding_jobs(), 2, "the workless job is gone");
+        assert_eq!(c.demand(SimTime::EPOCH), 64);
+    }
+
+    #[test]
+    fn demand_is_capped_over_a_deep_queue() {
+        let mut c = Cluster::new(ClusterConfig::parasol());
+        for id in 0..5_000 {
+            c.submit(quick_job(id, 0, 1e6, 1_000));
+        }
+        assert_eq!(c.demand(SimTime::EPOCH), 64);
+        assert_eq!(c.outstanding_jobs(), 5_000);
+    }
+
+    /// FNV-1a over 64-bit words: a digest fixed by this file alone.
+    fn fold(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn log_uniform(rng: &mut rand::rngs::StdRng, lo: f64, hi: f64) -> f64 {
+        use rand::Rng;
+        (lo.ln() + rng.gen::<f64>() * (hi / lo).ln()).exp()
+    }
+
+    /// A seeded random stream — arrivals with and without start deadlines,
+    /// deferred earliest starts, a few workless jobs, active targets over
+    /// 0..=64 — whose per-tick observables hash to a digest pinned before
+    /// the queue compaction and the capped demand scan.
+    #[test]
+    fn random_stream_observables_match_their_pinned_digest() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC1A5_7E55);
+        let mut c = Cluster::new(ClusterConfig::parasol());
+        let dt = SimDuration::from_minutes(1);
+        let mut pods = Vec::new();
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let (mut next_id, mut workless, mut deepest, mut drained) = (0u64, 0, 0, 0);
+        for tick in 0..3_600u64 {
+            let now = SimTime::from_secs(tick * 60);
+            // Two busy hours in every twelve fill the queue; the quiet ten
+            // drain it.
+            let busy = tick % 720 < 120;
+            let arrivals = if busy { rng.gen_range(0..=3u32) } else { 0 };
+            for _ in 0..arrivals {
+                next_id += 1;
+                let no_work = rng.gen_bool(0.02);
+                let map_tasks = rng.gen_range(1..=80u32);
+                let reduce_tasks = rng.gen_range(0..=8u32);
+                let mut job = Job {
+                    id: JobId(next_id),
+                    submit: now + SimDuration::from_secs(rng.gen_range(0..120u64)),
+                    map_tasks,
+                    reduce_tasks,
+                    map_work: f64::from(map_tasks) * log_uniform(&mut rng, 25.0, 600.0),
+                    reduce_work: f64::from(reduce_tasks) * log_uniform(&mut rng, 15.0, 300.0),
+                    start_deadline: None,
+                };
+                if no_work {
+                    (job.map_work, job.reduce_work) = (0.0, 0.0);
+                }
+                workless += usize::from(no_work);
+                if rng.gen_bool(0.4) {
+                    let deadline = SimDuration::from_secs(rng.gen_range(600..3 * 3_600u64));
+                    job = job.with_deadline(deadline);
+                    let earliest =
+                        job.submit + SimDuration::from_secs(rng.gen_range(0..2 * 3_600u64));
+                    c.submit_with_start(job, earliest);
+                } else {
+                    c.submit(job);
+                }
+            }
+            if tick % 10 == 0 {
+                c.set_active_target(rng.gen_range(0..=64usize));
+            }
+            let stats = c.step(now, dt);
+            let after = now + dt;
+            c.write_pod_power(&mut pods);
+            let delays = c.delay_stats();
+            for word in [
+                stats.busy_slots as u64,
+                stats.active_servers as u64,
+                stats.awake_servers as u64,
+                stats.completed,
+                c.demand(after) as u64,
+                c.completed_jobs(),
+                c.outstanding_jobs() as u64,
+                c.pending_work().to_bits(),
+                delays.started_jobs,
+                delays.total_delay_secs,
+                delays.max_delay_secs,
+                c.late_starts(),
+            ] {
+                fold(&mut hash, word);
+            }
+            for pod in &pods {
+                fold(&mut hash, pod.value().to_bits());
+            }
+            deepest = deepest.max(c.outstanding_jobs());
+            drained += usize::from(c.outstanding_jobs() < 20);
+        }
+        assert!(workless >= 10, "the stream submits workless jobs ({workless})");
+        assert!(deepest > 100, "the queue backs up (deepest {deepest})");
+        assert!(drained > 100, "the queue drains ({drained} ticks under 20 jobs)");
+        assert_eq!(format!("{hash:016x}"), "328268f0a8fccd04", "the cluster's observables changed");
     }
 }

@@ -1,6 +1,6 @@
 //! Properties of the learned-control testbed: episode trajectories are
-//! byte-identical for the same (spec, actions) pair (and a faulted,
-//! backlogged episode matches a pinned digest), a daemon-served
+//! byte-identical for the same (spec, actions) pair (and backlogged
+//! episodes match pinned digests), a daemon-served
 //! episode reproduces the local one bit for bit over the socket, a killed
 //! training run resumes byte-identically from a half-populated store, and
 //! the headline acceptance claim — on the shipped suite, the best learned
@@ -284,36 +284,73 @@ fn tks_row_is_the_fixed_baseline_policy() {
     assert_eq!(total.energy_kwh, tks.energy_kwh);
 }
 
-/// A seeded, faulted Chad episode whose server targets sit below demand (so
-/// the job queue backs up) serializes to the trajectory it did before the
-/// allocation-free compute tick and the snapshot-free sampling: the pin
-/// covers job arrivals moved into the cluster, the reused IT-load buffers,
-/// fault-corrupted observations and the plant's relaxation cache with the
-/// AC running.
+/// Seeded episodes whose server targets leave demand unserved (so the job
+/// queue backs up) serialize to the trajectories pinned before the
+/// queue-proportional compute tick, the allocation-free compute tick and
+/// the snapshot-free sampling:
+/// - a faulted Chad episode under a cyclic schedule covers job arrivals
+///   moved into the cluster, the reused IT-load buffers, fault-corrupted
+///   observations and the plant's relaxation cache with the AC running;
+/// - a fault-free Singapore episode under the benchmark learner's schedule
+///   shape (setpoints 22–32 °C in 0.5 °C steps, targets uniform over
+///   covering..=64) drains and refills its queue, so the prefix of jobs a
+///   tick visits varies from tick to tick.
 #[test]
-fn faulted_backlogged_chad_episode_matches_its_pinned_digest() {
+fn backlogged_episodes_match_their_pinned_digests() {
     use coolair_suite::runner::stable_digest;
     use coolair_suite::sim::FaultSpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    let mut spec = EpisodeSpec::seeded(Location::chad(), 13);
-    spec.scenario.fault = FaultSpec::random(7, 1.5);
-    let mut ep = Episode::new(&spec).expect("valid spec");
-    let mut trajectory = Vec::new();
-    let mut backed_up = 0;
-    let mut i = 0usize;
-    while !ep.is_done() {
-        let action = Action {
-            setpoint_c: 24.0 + (i % 9) as f64,
-            active_servers: 8 + (i * 5) % 17,
-        };
-        let step = ep.step(&action).expect("not done");
-        if step.observation.demand_fraction > step.observation.active_fraction {
-            backed_up += 1;
+    let mut chad = EpisodeSpec::seeded(Location::chad(), 13);
+    chad.scenario.fault = FaultSpec::random(7, 1.5);
+    let singapore = EpisodeSpec::seeded(Location::singapore(), 29);
+    let mut rng = StdRng::seed_from_u64(0x5EED_0019);
+    // The action at (step, covering servers).
+    type Schedule<'a> = &'a mut dyn FnMut(usize, usize) -> Action;
+    // (name, spec, schedule, whether the queue must also drain at some
+    // decisions, pinned digest)
+    let cases: [(&str, EpisodeSpec, Schedule, bool, &str); 2] = [
+        (
+            "faulted Chad, cyclic targets",
+            chad,
+            &mut |i, _| Action {
+                setpoint_c: 24.0 + (i % 9) as f64,
+                active_servers: 8 + (i * 5) % 17,
+            },
+            false,
+            "58771148fed62f19",
+        ),
+        (
+            "Singapore, learner-shaped targets",
+            singapore,
+            &mut |_, covering| Action {
+                setpoint_c: 22.0 + f64::from(rng.gen_range(0..=20u32)) * 0.5,
+                active_servers: rng.gen_range(covering..=64),
+            },
+            true,
+            "3bc5777609bd62e7",
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, spec, schedule, drains, want) in cases {
+        let mut ep = Episode::new(&spec).expect("valid spec");
+        let covering = ep.covering_servers();
+        let mut trajectory = Vec::new();
+        let (mut backed_up, mut slack) = (0, 0);
+        while !ep.is_done() {
+            let step = ep.step(&schedule(trajectory.len(), covering)).expect("not done");
+            let obs = &step.observation;
+            backed_up += usize::from(obs.demand_fraction > obs.active_fraction);
+            slack += usize::from(obs.demand_fraction < obs.active_fraction);
+            trajectory.push(step);
         }
-        trajectory.push(step);
-        i += 1;
+        assert!(backed_up > 10, "{name}: targets must leave demand unserved ({backed_up} steps)");
+        assert!(!drains || slack > 10, "{name}: the queue must also drain ({slack} steps)");
+        let got = stable_digest(&(trajectory, ep.total_reward(), ep.cooling_kwh(), ep.it_kwh()));
+        if got.to_string() != want {
+            mismatches.push(format!("{name}: {got} (pinned {want})"));
+        }
     }
-    assert!(backed_up > 10, "the targets must leave demand unserved ({backed_up} steps)");
-    let got = stable_digest(&(trajectory, ep.total_reward(), ep.cooling_kwh(), ep.it_kwh()));
-    assert_eq!(got.to_string(), "58771148fed62f19", "the episode's trajectory changed");
+    assert!(mismatches.is_empty(), "episode trajectories changed:\n{}", mismatches.join("\n"));
 }

@@ -355,7 +355,10 @@ fn all_nd_days_match_their_pinned_digest() {
 /// the allocation-free compute tick, the plant's relaxation cache, the
 /// snapshot-free sampling and the optimizer's reused prediction buffers:
 /// one digest per (system, infrastructure) pair. Parasol never blends, so
-/// its rows cover the optimizer without the anchor cache.
+/// its rows cover the optimizer without the anchor cache. All-DEF runs the
+/// deferrable trace (6-hour start deadlines), pinned before the
+/// queue-proportional compute tick: its deferred jobs wait ineligible
+/// inside the prefix of the queue a tick visits.
 #[test]
 fn every_system_day_matches_its_pinned_digest() {
     use coolair_suite::core::{SupervisedCoolAir, SupervisorConfig};
@@ -365,7 +368,8 @@ fn every_system_day_matches_its_pinned_digest() {
     let tmy = TmySeries::generate(&location, 42);
     let model = train_cooling_model(&tmy, &TrainingConfig::quick());
     let trace = facebook_trace(1);
-    let pins: [(&str, Infrastructure, &str); 12] = [
+    let deferrable = trace.with_deadlines(CoolAirConfig::default().deferral_deadline);
+    let pins: [(&str, Infrastructure, &str); 13] = [
         ("Baseline", Infrastructure::Smooth, "ba578e57ff86c8f7"),
         ("Baseline", Infrastructure::Parasol, "87fb2537d74374c9"),
         ("Temperature", Infrastructure::Smooth, "a1e987c5b2ab6c3d"),
@@ -378,6 +382,7 @@ fn every_system_day_matches_its_pinned_digest() {
         ("All-ND", Infrastructure::Parasol, "91b7c09ec5ee0081"),
         ("All-ND+SV", Infrastructure::Smooth, "fa3d95e809fa12ce"),
         ("All-ND+SV", Infrastructure::Parasol, "91b7c09ec5ee0081"),
+        ("All-DEF", Infrastructure::Smooth, "66529b7f8c84ad12"),
     ];
     let mut mismatches = Vec::new();
     for (system, infra, want) in pins {
@@ -396,11 +401,14 @@ fn every_system_day_matches_its_pinned_digest() {
             "Energy" => SimController::CoolAir(Box::new(coolair(Version::Energy))),
             "Variation" => SimController::CoolAir(Box::new(coolair(Version::Variation))),
             "All-ND" => SimController::CoolAir(Box::new(coolair(Version::AllNd))),
-            _ => SimController::Supervised(Box::new(SupervisedCoolAir::new(
+            "All-ND+SV" => SimController::Supervised(Box::new(SupervisedCoolAir::new(
                 coolair(Version::AllNd),
                 SupervisorConfig::default(),
             ))),
+            "All-DEF" => SimController::CoolAir(Box::new(coolair(Version::AllDef))),
+            other => unreachable!("no system {other}"),
         };
+        let jobs = if system == "All-DEF" { &deferrable } else { &trace };
         let plant = match infra {
             Infrastructure::Parasol => PlantConfig::parasol(),
             Infrastructure::Smooth => PlantConfig::smooth(),
@@ -412,7 +420,7 @@ fn every_system_day_matches_its_pinned_digest() {
             tmy.clone(),
             SimConfig { record_minutes: true, ..SimConfig::default() },
         );
-        let days = [21u64, 200u64].map(|day| sim.run_day(day, trace.jobs_for_day(day)));
+        let days = [21u64, 200u64].map(|day| sim.run_day(day, jobs.jobs_for_day(day)));
         let got = stable_digest(&days).to_string();
         if got != want {
             mismatches.push(format!("{system} on {infra:?}: {got} (pinned {want})"));
