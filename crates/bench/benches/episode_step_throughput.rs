@@ -4,7 +4,10 @@
 //! daemon's `POST /episodes/{id}/step` over a loopback keep-alive
 //! socket. The served path pays HTTP parse/route/encode plus the socket
 //! round trip on top of the same physics, so the two rows bracket the
-//! protocol overhead a remote learner pays per decision. The local path
+//! protocol overhead a remote learner pays per decision. The local rows
+//! are means over whole episodes; the served row is the median of its
+//! individually timed steps, since a loopback round trip shares the
+//! scheduler with the daemon's threads and one stall would move a mean. The local path
 //! runs twice: `episode/local_step` keeps every server active, so its job
 //! queue never backs up, and `episode/local_step_backlog` follows a
 //! learner's schedule, whose targets below demand leave hundreds of jobs
@@ -28,6 +31,9 @@ use rand::{Rng, SeedableRng};
 
 /// Full local episodes stepped back to back (each is one simulated day).
 const LOCAL_EPISODES: usize = 3;
+
+/// Served episodes stepped back to back, on consecutive start days.
+const SERVED_EPISODES: u64 = 8;
 
 /// The benchmark episode: one seeded Newark day at the TKS control
 /// cadence (10-minute decisions, 144 steps).
@@ -117,40 +123,47 @@ fn local_rows(spec: &EpisodeSpec) -> (Vec<PerfEntry>, f64) {
     (rows, steps_per_s)
 }
 
-/// Served path: the same episode driven through `POST /episodes/{id}/step`
-/// on a loopback keep-alive connection.
+/// Served path: the benchmark episode on `SERVED_EPISODES` consecutive
+/// start days, each driven through `POST /episodes/{id}/step` on one
+/// loopback keep-alive connection. Every step is timed on its own and the
+/// row is their median, so one scheduler stall moves it by one sample of
+/// 1 152, not by its whole length.
 fn served_rows(spec: &EpisodeSpec) -> (Vec<PerfEntry>, f64) {
     let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
     let server = Server::bind(cfg, Telemetry::discard()).expect("bind loopback");
     let addr = server.local_addr().expect("local addr");
 
-    let steps = spec.steps();
-    let mut per_step_ns = 0.0;
+    let mut step_ns = Vec::new();
     crossbeam::thread::scope(|s| {
         s.spawn(|_| server.run());
         let mut client = HttpClient::connect(addr).expect("connect");
-        let created = client.post_json("/episodes", spec).expect("create");
-        assert_eq!(created.status, 201, "episode creation failed");
-        let id = spec.digest().to_string();
-        let target = format!("/episodes/{id}/step");
-
-        let t0 = Instant::now();
-        for i in 0..steps {
-            let resp = client.post_json(&target, &bench_action(i)).expect("step");
-            assert_eq!(resp.status, 200, "served step {i} failed");
+        for day in 0..SERVED_EPISODES {
+            let mut spec = spec.clone();
+            spec.start_day += day;
+            let created = client.post_json("/episodes", &spec).expect("create");
+            assert_eq!(created.status, 201, "episode creation failed");
+            let target = format!("/episodes/{}/step", spec.digest());
+            for i in 0..spec.steps() {
+                let t0 = Instant::now();
+                let resp = client.post_json(&target, &bench_action(i)).expect("step");
+                step_ns.push(t0.elapsed().as_nanos());
+                assert_eq!(resp.status, 200, "served step {i} failed");
+            }
         }
-        per_step_ns = t0.elapsed().as_nanos() as f64 / steps as f64;
 
         let shut = client.post_json("/shutdown", &()).expect("shutdown");
         assert_eq!(shut.status, 200);
     })
     .expect("server scope");
 
-    let steps_per_s = 1e9 / per_step_ns.max(1.0);
+    step_ns.sort_unstable();
+    let median_ns = u64::try_from(step_ns[step_ns.len() / 2]).unwrap_or(u64::MAX);
+    let steps = step_ns.len() as u64;
+    let steps_per_s = 1e9 / median_ns.max(1) as f64;
     let rows = vec![
         PerfEntry {
             name: "episode/served_step".to_string(),
-            median_ns: per_step_ns.round() as u64,
+            median_ns,
             samples: steps,
             unit: Some("ns".to_string()),
         },

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths: plant physics steps, the
 //! cluster's compute tick, the learned-model prediction, the Cooling
-//! Optimizer's decision, M5P training, and full closed-loop simulated days
-//! (the baseline and All-ND on the smooth plant).
+//! Optimizer's decision, M5P and LMS fits and a quick Cooling Model
+//! training, and full closed-loop simulated days (the baseline and All-ND
+//! on the smooth plant).
 //!
 //! Besides the usual stdout lines, this bench writes `BENCH_perf.json` at
 //! the repo root — a machine-readable record of the median ns/iter for each
@@ -17,7 +18,7 @@ use coolair_runner::{stable_digest, Digest, Executor, Job, Telemetry};
 use coolair::manager::optimizer::CoolingOptimizer;
 use coolair::manager::predict_regime;
 use coolair::{train_cooling_model, CoolAir, CoolAirConfig, TrainingConfig, Version};
-use coolair_ml::{Dataset, M5pConfig, ModelTree};
+use coolair_ml::{Dataset, LinearModel, M5pConfig, ModelTree};
 use coolair_sim::{
     sweep_one_with_model, train_for_location, AnnualConfig, SimConfig, SimController, Simulation,
 };
@@ -28,6 +29,8 @@ use coolair_thermal::{
 use coolair_units::{psychro, Celsius, FanSpeed, RelativeHumidity, SimDuration, SimTime, Watts};
 use coolair_weather::{Forecaster, Location, TmySeries, WorldGrid};
 use coolair_workload::{facebook_trace, Cluster, ClusterConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_plant_step(c: &mut Criterion) {
     let mut plant = Plant::new(PlantConfig::parasol());
@@ -151,14 +154,36 @@ fn bench_world_sweep_1day(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_m5p(c: &mut Criterion) {
+/// The Cooling Modeler's fits and a whole training run: an M5P tree over
+/// a cubic fan-power law, an LMS fit with `fit_best_linear`'s 60 draws,
+/// and a quick (8-day) Newark training, collection and fits together.
+fn bench_training(c: &mut Criterion) {
     let mut data = Dataset::new(vec!["fan".into(), "comp".into()]);
     for i in 0..2000 {
         let f = f64::from(i % 101) / 100.0;
-        data.push(vec![f, 0.0], 8.0 + 417.0 * f * f * f).unwrap();
+        data.push(&[f, 0.0], 8.0 + 417.0 * f * f * f).unwrap();
     }
     c.bench_function("m5p_fit_2000_rows", |b| {
         b.iter(|| black_box(ModelTree::fit(&data, M5pConfig::default()).unwrap()));
+    });
+
+    // Seven features, a noisy linear target, a tenth of gross outliers.
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut data = Dataset::new((0..7).map(|i| format!("x{i}")).collect());
+    for _ in 0..2000 {
+        let x: Vec<f64> = (0..7).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        let y = x.iter().enumerate().map(|(i, v)| (i as f64 - 3.0) * v).sum::<f64>()
+            + rng.gen_range(-0.5..0.5)
+            + if rng.gen_bool(0.1) { 200.0 } else { 0.0 };
+        data.push(&x, y).unwrap();
+    }
+    c.bench_function("lms_fit_2000_rows", |b| {
+        b.iter(|| black_box(LinearModel::fit_lms(&data, 60, 7).unwrap()));
+    });
+
+    let tmy = TmySeries::generate(&Location::newark(), 11);
+    c.bench_function("train_cooling_model_quick", |b| {
+        b.iter(|| black_box(train_cooling_model(&tmy, &TrainingConfig::quick())));
     });
 }
 
@@ -240,7 +265,7 @@ criterion_group!(
     bench_cluster_compute_tick,
     bench_model_predict,
     bench_optimizer_batched,
-    bench_m5p,
+    bench_training,
     bench_day_sim,
     bench_world_sweep_1day,
     bench_executor_overhead

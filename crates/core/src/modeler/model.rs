@@ -46,12 +46,12 @@ const CLASSES: usize = RegimeClass::ALL.len();
 
 /// Entries of the dense model table: the steady keys, then one transition
 /// per ordered pair of classes.
-const KEY_SLOTS: usize = CLASSES + CLASSES * CLASSES;
+pub(super) const KEY_SLOTS: usize = CLASSES + CLASSES * CLASSES;
 
 /// Where `key`'s models live in the dense table: the steady keys first, in
 /// [`RegimeClass::ALL`] order, then the transitions row-major by
 /// `(from, to)`.
-fn slot(key: ModelKey) -> usize {
+pub(super) fn slot(key: ModelKey) -> usize {
     match key {
         ModelKey::Steady(class) => class as usize,
         ModelKey::Transition(from, to) => CLASSES + from as usize * CLASSES + to as usize,
@@ -59,7 +59,7 @@ fn slot(key: ModelKey) -> usize {
 }
 
 /// The key stored at table entry `slot` (the inverse of [`slot`]).
-fn key_at(slot: usize) -> ModelKey {
+pub(super) fn key_at(slot: usize) -> ModelKey {
     if slot < CLASSES {
         ModelKey::Steady(RegimeClass::ALL[slot])
     } else {

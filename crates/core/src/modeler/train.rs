@@ -10,12 +10,10 @@
 //! regimes (so AC and transition data exist even in cold climates), and
 //! varies the offered utilisation.
 
-use std::collections::HashMap;
-
 use coolair_ml::{fit_best_linear, Dataset, LinearModel, M5pConfig, ModelTree};
 use coolair_thermal::{
     CoolingRegime, ItLoad, ModelKey, OutsideConditions, Plant, PlantConfig, PodId, RegimeClass,
-    SensorReadings, TksConfig, TksController, SERVERS_PER_POD,
+    TksConfig, TksController, SERVERS_PER_POD,
 };
 use coolair_units::{Celsius, FanSpeed, SimDuration, SimTime, Watts};
 use rand::rngs::StdRng;
@@ -26,7 +24,7 @@ use super::features::{
     humidity_features, power_features, temp_features, HUM_FEATURE_NAMES, POWER_FEATURE_NAMES,
     TEMP_FEATURE_NAMES,
 };
-use super::model::{CoolingModel, PowerModel, RegimeModels};
+use super::model::{key_at, slot, CoolingModel, PowerModel, RegimeModels, KEY_SLOTS};
 
 /// Configuration of the offline training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,6 +70,26 @@ impl KeyData {
     }
 }
 
+/// What a training row reads of one two-minute sample.
+#[derive(Debug)]
+struct Sample {
+    /// Pod inlet temperatures, °C.
+    inlets: Vec<f64>,
+    /// Outside temperature, °C.
+    outside_temp: f64,
+    /// Outside absolute humidity, g/kg.
+    outside_abs: f64,
+    /// Cold-aisle absolute humidity, g/kg.
+    cold_aisle_abs: f64,
+    /// Active fraction of the IT load.
+    active_fraction: f64,
+    /// Fan speed of the regime in effect during the interval ending at
+    /// the sample.
+    fan: f64,
+    /// Class of that regime.
+    class: RegimeClass,
+}
+
 /// Runs the §4.2 data-collection campaign against the Parasol physics plant
 /// under the weather in `tmy`, and fits the Cooling Model.
 ///
@@ -89,25 +107,37 @@ pub fn train_cooling_model(tmy: &coolair_weather::TmySeries, config: &TrainingCo
     let control_period = SimDuration::from_minutes(10);
     let end = SimTime::from_days(config.days);
 
-    let mut data: HashMap<ModelKey, KeyData> = HashMap::new();
+    // Per-key datasets, indexed by the Cooling Model's dense key slot.
+    let mut data: Vec<Option<KeyData>> = (0..KEY_SLOTS).map(|_| None).collect();
     let mut recirc_score = vec![0.0_f64; pods];
 
     let mut now = SimTime::EPOCH;
     let mut regime = CoolingRegime::Closed;
     let mut forced: Option<(CoolingRegime, SimTime)> = None;
-    let mut util = 0.3_f64;
+    // The offered load, rebuilt in place whenever utilisation changes.
+    let mut it = ItLoad::uniform(pods, Watts::ZERO, 0.0);
     let mut next_util_change = SimTime::EPOCH;
     let mut next_setpoint_change = SimTime::EPOCH;
     let mut next_force_consider = SimTime::EPOCH;
 
-    // (readings, regime-class in effect during the interval ending at the
-    // reading) for the last two samples.
-    let mut history: Vec<(SensorReadings, RegimeClass)> = Vec::with_capacity(3);
+    // The last three samples: sample k sits in slot k % 3.
+    let mut ring: [Sample; 3] = std::array::from_fn(|_| Sample {
+        inlets: vec![0.0; pods],
+        outside_temp: 0.0,
+        outside_abs: 0.0,
+        cold_aisle_abs: 0.0,
+        active_fraction: 0.0,
+        fan: 0.0,
+        class: RegimeClass::Closed,
+    });
+    let mut samples = 0usize;
 
     while now < end {
         // --- perturbation schedule -------------------------------------
         if now >= next_util_change {
-            util = rng.gen_range(0.05..1.0);
+            let util = rng.gen_range(0.05..1.0);
+            it.pod_power.fill(Watts::new(util * SERVERS_PER_POD as f64 * 26.0));
+            it.active_fraction = util;
             next_util_change = now + SimDuration::from_minutes(rng.gen_range(60..180));
         }
         if now >= next_setpoint_change {
@@ -148,53 +178,50 @@ pub fn train_cooling_model(tmy: &coolair_weather::TmySeries, config: &TrainingCo
 
         // --- sampling -----------------------------------------------------
         if (now % sample_period).is_zero() {
-            let readings = plant.readings(now);
-            let class = plant.applied_regime().class();
-            for (i, t) in readings.pod_inlets.iter().enumerate() {
-                recirc_score[i] += t.value() - readings.mean_inlet().value();
+            let applied = plant.applied_regime();
+            let sample = plant.sample();
+            let mean_inlet = sample.mean_inlet();
+            for (score, t) in recirc_score.iter_mut().zip(sample.pod_inlets) {
+                *score += t - mean_inlet;
             }
-            if history.len() == 2 {
+            let next = &mut ring[samples % 3];
+            next.inlets.copy_from_slice(sample.pod_inlets);
+            next.outside_temp = sample.outside.temperature.value();
+            next.outside_abs = sample.outside.abs_humidity.grams_per_kg();
+            next.cold_aisle_abs = sample.cold_aisle_abs.grams_per_kg();
+            next.active_fraction = sample.active_fraction;
+            next.fan = applied.fan_speed().fraction();
+            next.class = applied.class();
+            if samples >= 2 {
                 // Row: predict sample k+1 from samples k and k-1; the key is
-                // the regime transition across the (k → k+1) interval.
-                let (ref r_prev, _) = history[0];
-                let (ref r_now, class_now) = history[1];
-                let key = ModelKey::for_step(class_now, class);
-                let fan_now = r_now.regime.fan_speed().fraction();
-                let fan_prev = r_prev.regime.fan_speed().fraction();
-                // The fan during the predicted interval is the new regime's.
-                let fan_next = plant.applied_regime().fan_speed().fraction();
-                let entry = data.entry(key).or_insert_with(|| KeyData::new(pods));
-                for p in 0..pods {
+                // the regime transition across the (k → k+1) interval, and
+                // the fan during it is the new regime's.
+                let next = &ring[samples % 3];
+                let cur = &ring[(samples + 2) % 3];
+                let prev = &ring[(samples + 1) % 3];
+                let key = ModelKey::for_step(cur.class, next.class);
+                let entry = data[slot(key)].get_or_insert_with(|| KeyData::new(pods));
+                for (p, temp) in entry.temp.iter_mut().enumerate() {
                     let x = temp_features(
-                        r_now.pod_inlets[p].value(),
-                        r_prev.pod_inlets[p].value(),
-                        r_now.outside_temp.value(),
-                        r_prev.outside_temp.value(),
-                        fan_next,
-                        fan_now,
-                        r_now.active_fraction,
+                        cur.inlets[p],
+                        prev.inlets[p],
+                        cur.outside_temp,
+                        prev.outside_temp,
+                        next.fan,
+                        cur.fan,
+                        cur.active_fraction,
                     );
-                    let _ = entry.temp[p].push(x.to_vec(), readings.pod_inlets[p].value());
+                    let _ = temp.push(&x, next.inlets[p]);
                 }
-                let hx = humidity_features(
-                    r_now.cold_aisle_abs.grams_per_kg(),
-                    r_now.outside_abs.grams_per_kg(),
-                    fan_next,
-                );
-                let _ = entry.hum.push(hx.to_vec(), readings.cold_aisle_abs.grams_per_kg());
-                let px = power_features(fan_next, plant.applied_regime().compressor());
-                let _ = entry.power.push(px.to_vec(), readings.cooling_power.value());
-                let _ = fan_prev;
+                let hx = humidity_features(cur.cold_aisle_abs, cur.outside_abs, next.fan);
+                let _ = entry.hum.push(&hx, next.cold_aisle_abs);
+                let px = power_features(next.fan, applied.compressor());
+                let _ = entry.power.push(&px, plant.cooling_power().value());
             }
-            history.push((readings, class));
-            if history.len() > 2 {
-                history.remove(0);
-            }
+            samples += 1;
         }
 
         // --- physics -------------------------------------------------------
-        let per_pod = Watts::new(util * SERVERS_PER_POD as f64 * 26.0);
-        let it = ItLoad::uniform(pods, per_pod, util);
         let (temperature, abs_humidity) = tmy.outside_at(now);
         let outside = OutsideConditions { temperature, abs_humidity };
         plant.step(dt, outside, &it, regime);
@@ -205,16 +232,18 @@ pub fn train_cooling_model(tmy: &coolair_weather::TmySeries, config: &TrainingCo
 }
 
 fn fit(
-    data: HashMap<ModelKey, KeyData>,
+    data: Vec<Option<KeyData>>,
     recirc_score: Vec<f64>,
     pods: usize,
     config: &TrainingConfig,
 ) -> CoolingModel {
-    let mut models = HashMap::new();
-    for (key, kd) in data {
+    let mut models = Vec::new();
+    for (slot, kd) in data.into_iter().enumerate() {
+        let Some(kd) = kd else { continue };
         if kd.hum.len() < config.min_samples_per_key {
             continue;
         }
+        let key = key_at(slot);
         let pod_temp: Vec<LinearModel> = kd
             .temp
             .iter()
@@ -225,10 +254,7 @@ fn fit(
         let humidity =
             fit_best_linear(&kd.hum, config.seed).unwrap_or_else(|_| persistence_hum_model());
         let power = fit_power(&kd.power, key);
-        models.insert(
-            key,
-            RegimeModels { pod_temp, humidity, power, samples: kd.hum.len() },
-        );
+        models.push((key, RegimeModels { pod_temp, humidity, power, samples: kd.hum.len() }));
     }
 
     // Rank pods by mean inlet-temperature excess: consistently warmer pods

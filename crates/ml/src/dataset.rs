@@ -1,18 +1,19 @@
 //! Training data container.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FitError;
 
 /// A regression dataset: named features, rows, and a scalar target per row.
 ///
 /// The Cooling Modeler accumulates one `Dataset` per cooling regime (and per
 /// regime transition) from the monitoring stream, then fits the regime's
-/// temperature/humidity/power models from it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// temperature/humidity/power models from it. The rows live in one flat
+/// row-major buffer, so a dataset costs two growing `Vec`s however many
+/// rows it holds, and a fit walks contiguous memory.
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     feature_names: Vec<String>,
-    rows: Vec<Vec<f64>>,
+    /// Row-major features: `len() × num_features()` values.
+    features: Vec<f64>,
     targets: Vec<f64>,
 }
 
@@ -20,17 +21,17 @@ impl Dataset {
     /// Creates an empty dataset with the given feature names.
     #[must_use]
     pub fn new(feature_names: Vec<String>) -> Self {
-        Dataset { feature_names, rows: Vec::new(), targets: Vec::new() }
+        Dataset { feature_names, features: Vec::new(), targets: Vec::new() }
     }
 
-    /// Appends one observation.
+    /// Appends one observation, copying `row` into the dataset.
     ///
     /// # Errors
     ///
     /// Returns [`FitError::DimensionMismatch`] if `row` has the wrong arity
     /// and [`FitError::NonFiniteData`] if any value (or the target) is not
     /// finite.
-    pub fn push(&mut self, row: Vec<f64>, target: f64) -> Result<(), FitError> {
+    pub fn push(&mut self, row: &[f64], target: f64) -> Result<(), FitError> {
         if row.len() != self.feature_names.len() {
             return Err(FitError::DimensionMismatch {
                 expected: self.feature_names.len(),
@@ -40,7 +41,7 @@ impl Dataset {
         if !target.is_finite() || row.iter().any(|v| !v.is_finite()) {
             return Err(FitError::NonFiniteData);
         }
-        self.rows.push(row);
+        self.features.extend_from_slice(row);
         self.targets.push(target);
         Ok(())
     }
@@ -48,13 +49,13 @@ impl Dataset {
     /// Number of observations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.targets.len()
     }
 
     /// `true` when there are no observations.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.targets.is_empty()
     }
 
     /// Number of features per observation.
@@ -76,12 +77,26 @@ impl Dataset {
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn get(&self, i: usize) -> (&[f64], f64) {
-        (&self.rows[i], self.targets[i])
+        let p = self.num_features();
+        (&self.features[i * p..i * p + p], self.targets[i])
     }
 
-    /// Iterates over `(features, target)` pairs.
+    /// Iterates over `(features, target)` pairs; a dataset with no
+    /// features yields `len()` empty rows.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> + '_ {
-        self.rows.iter().map(Vec::as_slice).zip(self.targets.iter().copied())
+        let p = self.num_features();
+        let mut rest = self.features.as_slice();
+        self.targets.iter().map(move |&y| {
+            let (row, tail) = rest.split_at(p);
+            rest = tail;
+            (row, y)
+        })
+    }
+
+    /// The whole feature matrix, row-major (`len() × num_features()`).
+    #[must_use]
+    pub fn features(&self) -> &[f64] {
+        &self.features
     }
 
     /// The targets.
@@ -112,17 +127,23 @@ impl Dataset {
         var.sqrt()
     }
 
-    /// A new dataset containing the observations at `indices` (in order).
+    /// A new dataset containing the observations at `indices` (in order),
+    /// in one contiguous copy.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     #[must_use]
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::new(self.feature_names.clone());
+        let mut out = Dataset {
+            feature_names: self.feature_names.clone(),
+            features: Vec::with_capacity(indices.len() * self.num_features()),
+            targets: Vec::with_capacity(indices.len()),
+        };
         for &i in indices {
-            out.rows.push(self.rows[i].clone());
-            out.targets.push(self.targets[i]);
+            let (row, y) = self.get(i);
+            out.features.extend_from_slice(row);
+            out.targets.push(y);
         }
         out
     }
@@ -132,7 +153,7 @@ impl Dataset {
     pub fn split_indices(&self, feature: usize, threshold: f64) -> (Vec<usize>, Vec<usize>) {
         let mut left = Vec::new();
         let mut right = Vec::new();
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, (row, _)) in self.iter().enumerate() {
             if row[feature] <= threshold {
                 left.push(i);
             } else {
@@ -143,9 +164,9 @@ impl Dataset {
     }
 }
 
-impl Extend<(Vec<f64>, f64)> for Dataset {
+impl<'a> Extend<(&'a [f64], f64)> for Dataset {
     /// Extends the dataset, skipping rows that fail validation.
-    fn extend<T: IntoIterator<Item = (Vec<f64>, f64)>>(&mut self, iter: T) {
+    fn extend<T: IntoIterator<Item = (&'a [f64], f64)>>(&mut self, iter: T) {
         for (row, y) in iter {
             let _ = self.push(row, y);
         }
@@ -158,9 +179,9 @@ mod tests {
 
     fn sample() -> Dataset {
         let mut d = Dataset::new(vec!["a".into(), "b".into()]);
-        d.push(vec![1.0, 2.0], 3.0).unwrap();
-        d.push(vec![4.0, 5.0], 9.0).unwrap();
-        d.push(vec![0.0, 0.0], 0.0).unwrap();
+        d.push(&[1.0, 2.0], 3.0).unwrap();
+        d.push(&[4.0, 5.0], 9.0).unwrap();
+        d.push(&[0.0, 0.0], 0.0).unwrap();
         d
     }
 
@@ -171,13 +192,24 @@ mod tests {
         assert_eq!(d.num_features(), 2);
         assert_eq!(d.get(1), (&[4.0, 5.0][..], 9.0));
         assert_eq!(d.iter().count(), 3);
+        assert_eq!(d.features(), &[1.0, 2.0, 4.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn zero_feature_rows_are_empty() {
+        let mut d = Dataset::new(Vec::new());
+        d.push(&[], 1.0).unwrap();
+        d.push(&[], 2.0).unwrap();
+        assert_eq!(d.len(), 2);
+        let rows: Vec<(&[f64], f64)> = d.iter().collect();
+        assert_eq!(rows, [(&[][..], 1.0), (&[][..], 2.0)]);
     }
 
     #[test]
     fn rejects_wrong_arity() {
         let mut d = sample();
         assert!(matches!(
-            d.push(vec![1.0], 1.0),
+            d.push(&[1.0], 1.0),
             Err(FitError::DimensionMismatch { expected: 2, got: 1 })
         ));
     }
@@ -185,8 +217,10 @@ mod tests {
     #[test]
     fn rejects_non_finite() {
         let mut d = sample();
-        assert!(matches!(d.push(vec![f64::NAN, 0.0], 1.0), Err(FitError::NonFiniteData)));
-        assert!(matches!(d.push(vec![0.0, 0.0], f64::INFINITY), Err(FitError::NonFiniteData)));
+        assert!(matches!(d.push(&[f64::NAN, 0.0], 1.0), Err(FitError::NonFiniteData)));
+        assert!(matches!(d.push(&[0.0, 0.0], f64::INFINITY), Err(FitError::NonFiniteData)));
+        assert_eq!(d.len(), 3, "a rejected row leaves no trace");
+        assert_eq!(d.features().len(), 6);
     }
 
     #[test]
@@ -206,12 +240,13 @@ mod tests {
         let sub = d.subset(&l);
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.get(0).1, 3.0);
+        assert_eq!(sub.features(), &[1.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]
     fn extend_skips_invalid() {
         let mut d = sample();
-        d.extend(vec![(vec![1.0, 1.0], 2.0), (vec![f64::NAN, 1.0], 2.0)]);
+        d.extend([(&[1.0, 1.0][..], 2.0), (&[f64::NAN, 1.0][..], 2.0)]);
         assert_eq!(d.len(), 4);
     }
 }

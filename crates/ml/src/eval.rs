@@ -212,7 +212,7 @@ mod tests {
     fn holdout_split_partitions() {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..100 {
-            d.push(vec![f64::from(i)], f64::from(i)).unwrap();
+            d.push(&[f64::from(i)], f64::from(i)).unwrap();
         }
         let (train, test) = holdout_split(&d, 0.2, 9);
         assert_eq!(train.len(), 80);
@@ -234,7 +234,7 @@ mod tests {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..60 {
             let x = f64::from(i) * 0.25;
-            d.push(vec![x], 2.0 * x + 1.0).unwrap();
+            d.push(&[x], 2.0 * x + 1.0).unwrap();
         }
         let err = kfold_cv(&d, 5, 7, LinearModel::fit_ols).unwrap();
         assert!(err < 1e-6, "cv error {err}");
@@ -244,7 +244,7 @@ mod tests {
     fn kfold_handles_small_data() {
         use crate::LinearModel;
         let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![1.0], 1.0).unwrap();
+        d.push(&[1.0], 1.0).unwrap();
         assert!(kfold_cv(&d, 5, 0, LinearModel::fit_ols).is_none());
     }
 

@@ -29,7 +29,7 @@
 //! let mut data = Dataset::new(vec!["x".into()]);
 //! for i in 0..20 {
 //!     let x = f64::from(i);
-//!     data.push(vec![x], 3.0 * x + 1.0)?;
+//!     data.push(&[x], 3.0 * x + 1.0)?;
 //! }
 //! let model = LinearModel::fit_ols(&data)?;
 //! assert!((model.predict(&[10.0]) - 31.0).abs() < 1e-6);
@@ -125,7 +125,7 @@ mod tests {
     fn rmse_and_mae_zero_on_exact_fit() {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..10 {
-            d.push(vec![f64::from(i)], 2.0 * f64::from(i)).unwrap();
+            d.push(&[f64::from(i)], 2.0 * f64::from(i)).unwrap();
         }
         let m = LinearModel::fit_ols(&d).unwrap();
         assert!(rmse(&m, &d) < 1e-9);
@@ -146,12 +146,11 @@ mod tests {
         for i in 0..30 {
             let a = f64::from(i) * 0.3;
             let b = f64::from((i * 5) % 7);
-            d.push(vec![a, b], 1.0 + 2.0 * a - b).unwrap();
+            d.push(&[a, b], 1.0 + 2.0 * a - b).unwrap();
         }
         let m = LinearModel::fit_ols(&d).unwrap();
-        let xs: Vec<f64> = d.iter().flat_map(|(row, _)| row.to_vec()).collect();
         let mut out = Vec::new();
-        m.predict_batch(&xs, &mut out);
+        m.predict_batch(d.features(), &mut out);
         assert_eq!(out.len(), d.len());
         for ((row, _), got) in d.iter().zip(&out) {
             assert_eq!(m.predict(row).to_bits(), got.to_bits());

@@ -1,5 +1,7 @@
 //! Linear models: ordinary least squares and least median of squares.
 
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -30,27 +32,19 @@ impl LinearModel {
         LinearModel { intercept, coeffs }
     }
 
+    /// The model of a solution `[intercept, coeffs…]`, reusing its buffer.
+    fn from_solution(mut b: Vec<f64>) -> Self {
+        let intercept = b.remove(0);
+        LinearModel { intercept, coeffs: b }
+    }
+
     /// Fits by ordinary least squares.
     ///
     /// # Errors
     ///
     /// Propagates [`FitError`] when the data is insufficient or singular.
     pub fn fit_ols(data: &Dataset) -> Result<Self, FitError> {
-        let p = data.num_features();
-        if data.len() < p + 1 {
-            return Err(FitError::InsufficientData { needed: p + 1, available: data.len() });
-        }
-        let xs: Vec<Vec<f64>> = data
-            .iter()
-            .map(|(row, _)| {
-                let mut r = Vec::with_capacity(p + 1);
-                r.push(1.0);
-                r.extend_from_slice(row);
-                r
-            })
-            .collect();
-        let b = solve_least_squares(&xs, data.targets())?;
-        Ok(LinearModel { intercept: b[0], coeffs: b[1..].to_vec() })
+        solve_least_squares(data.num_features(), data.iter()).map(Self::from_solution)
     }
 
     /// Fits by least median of squares (Rousseeuw), the robust regression
@@ -60,6 +54,13 @@ impl LinearModel {
     /// solves each exactly, and keeps the candidate with the smallest median
     /// squared residual; then refits OLS on the inliers (residual within
     /// 2.5 robust standard deviations) for efficiency.
+    ///
+    /// Every draw reuses one set of buffers, and a draw runs the median
+    /// selection only if it could still beat the best median so far: its
+    /// residual pass counts the residuals below that median, and with at
+    /// most `n / 2` of them the `n / 2`-th smallest residual cannot be
+    /// below it (DESIGN.md §13.6). Skipping those selections changes
+    /// neither the draws nor the result.
     ///
     /// # Errors
     ///
@@ -71,61 +72,72 @@ impl LinearModel {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let n = data.len();
+        let mid = n / 2;
 
-        let mut best: Option<(f64, Vec<f64>)> = None;
+        let mut idx = Vec::with_capacity(p);
+        let mut a = vec![0.0; p * p];
+        let mut b = vec![0.0; p];
         let mut residuals = vec![0.0_f64; n];
+        // The best median so far and its solution.
+        let mut best_med: Option<f64> = None;
+        let mut best = vec![0.0; p];
         for _ in 0..samples.max(1) {
             // Draw p distinct row indices.
-            let mut idx = Vec::with_capacity(p);
+            idx.clear();
             while idx.len() < p {
                 let i = rng.gen_range(0..n);
                 if !idx.contains(&i) {
                     idx.push(i);
                 }
             }
-            let a: Vec<Vec<f64>> = idx
-                .iter()
-                .map(|&i| {
-                    let mut r = Vec::with_capacity(p);
-                    r.push(1.0);
-                    r.extend_from_slice(data.get(i).0);
-                    r
-                })
-                .collect();
-            let ys: Vec<f64> = idx.iter().map(|&i| data.get(i).1).collect();
-            let Some(b) = solve_exact(&a, &ys) else { continue };
+            for (r, &i) in idx.iter().enumerate() {
+                let (row, y) = data.get(i);
+                a[r * p] = 1.0;
+                a[r * p + 1..r * p + p].copy_from_slice(row);
+                b[r] = y;
+            }
+            if !solve_exact(&mut a, &mut b) {
+                continue;
+            }
 
+            // After the first selection the draw can win only if more than
+            // `mid` residuals sort below the best median; the pass stops
+            // once the rest could not get it there.
+            let mut not_below = 0;
             for (slot, (row, y)) in residuals.iter_mut().zip(data.iter()) {
-                let pred = b[0] + dot(&b[1..], row);
-                let e = pred - y;
+                let e = b[0] + dot(&b[1..], row) - y;
                 *slot = e * e;
+                if best_med.is_some_and(|m| slot.total_cmp(&m) != Ordering::Less) {
+                    not_below += 1;
+                    if not_below == n - mid {
+                        break;
+                    }
+                }
+            }
+            if not_below == n - mid {
+                continue;
             }
             let med = median_in_place(&mut residuals);
-            if best.as_ref().is_none_or(|(m, _)| med < *m) {
-                best = Some((med, b));
+            if best_med.is_none_or(|m| med < m) {
+                best_med = Some(med);
+                best.copy_from_slice(&b);
             }
         }
 
-        let (med, b) = best.ok_or(FitError::SingularSystem)?;
+        let med = best_med.ok_or(FitError::SingularSystem)?;
         // Rousseeuw's robust scale estimate.
         let s0 = 1.4826 * (1.0 + 5.0 / (n as f64 - p as f64)) * med.sqrt();
         let threshold = (2.5 * s0).max(1e-9);
-        let inliers: Vec<usize> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, (row, y))| {
-                let pred = b[0] + dot(&b[1..], row);
-                (pred - y).abs() <= threshold
-            })
-            .map(|(i, _)| i)
-            .collect();
-
-        if inliers.len() > p {
-            if let Ok(m) = LinearModel::fit_ols(&data.subset(&inliers)) {
-                return Ok(m);
+        let is_inlier = |&(row, y): &(&[f64], f64)| {
+            let pred = best[0] + dot(&best[1..], row);
+            (pred - y).abs() <= threshold
+        };
+        if data.iter().filter(is_inlier).count() > p {
+            if let Ok(b) = solve_least_squares(p - 1, data.iter().filter(is_inlier)) {
+                return Ok(Self::from_solution(b));
             }
         }
-        Ok(LinearModel { intercept: b[0], coeffs: b[1..].to_vec() })
+        Ok(Self::from_solution(best))
     }
 
     /// The fitted intercept.
@@ -165,7 +177,7 @@ pub fn fit_best_linear(data: &Dataset, seed: u64) -> Result<LinearModel, FitErro
     let lms = LinearModel::fit_lms(data, 60, seed);
     match (ols, lms) {
         (Ok(a), Ok(b)) => {
-            if batch_mae(&a, data) <= batch_mae(&b, data) {
+            if mae(&a, data) <= mae(&b, data) {
                 Ok(a)
             } else {
                 Ok(b)
@@ -175,24 +187,6 @@ pub fn fit_best_linear(data: &Dataset, seed: u64) -> Result<LinearModel, FitErro
         (Err(_), Ok(b)) => Ok(b),
         (Err(e), Err(_)) => Err(e),
     }
-}
-
-/// MAE via [`Regressor::predict_batch`] over a flattened feature matrix —
-/// the candidate-model evaluation inside [`fit_best_linear`]. Falls back to
-/// the per-row [`mae`] for zero-feature (intercept-only) datasets, which
-/// the batch API rejects.
-fn batch_mae(model: &LinearModel, data: &Dataset) -> f64 {
-    if data.is_empty() || data.num_features() == 0 {
-        return mae(model, data);
-    }
-    let mut xs = Vec::with_capacity(data.len() * data.num_features());
-    for (row, _) in data.iter() {
-        xs.extend_from_slice(row);
-    }
-    let mut preds = Vec::new();
-    model.predict_batch(&xs, &mut preds);
-    let sae: f64 = preds.iter().zip(data.targets()).map(|(p, y)| (p - y).abs()).sum();
-    sae / data.len() as f64
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -214,7 +208,7 @@ mod tests {
         for i in 0..60 {
             let x0 = f64::from(i as u32) * 0.5;
             let x1 = f64::from((i * 7 % 13) as u32);
-            d.push(vec![x0, x1], 2.0 + 1.5 * x0 - 0.5 * x1 + noise(i)).unwrap();
+            d.push(&[x0, x1], 2.0 + 1.5 * x0 - 0.5 * x1 + noise(i)).unwrap();
         }
         d
     }
@@ -253,10 +247,88 @@ mod tests {
         assert!((m.intercept() - 2.0).abs() < 1e-6);
     }
 
+    /// The LMS draw loop without pruning: every successful draw runs the
+    /// median selection. Returns the winning median and solution.
+    fn unpruned_best(data: &Dataset, samples: usize, seed: u64) -> Option<(f64, Vec<f64>)> {
+        let p = data.num_features() + 1;
+        let n = data.len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        for _ in 0..samples {
+            let mut idx = Vec::new();
+            while idx.len() < p {
+                let i = rng.gen_range(0..n);
+                if !idx.contains(&i) {
+                    idx.push(i);
+                }
+            }
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            for &i in &idx {
+                let (row, y) = data.get(i);
+                a.push(1.0);
+                a.extend_from_slice(row);
+                b.push(y);
+            }
+            if !solve_exact(&mut a, &mut b) {
+                continue;
+            }
+            let mut residuals: Vec<f64> = data
+                .iter()
+                .map(|(row, y)| {
+                    let e = b[0] + dot(&b[1..], row) - y;
+                    e * e
+                })
+                .collect();
+            let med = median_in_place(&mut residuals);
+            if best.as_ref().is_none_or(|(m, _)| med < *m) {
+                best = Some((med, b));
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn pruned_lms_matches_the_unpruned_draw_loop() {
+        // Small odd and even row counts put many draws right at the
+        // pruning boundary (exactly `n / 2` or `n / 2 + 1` residuals below
+        // the best median); integer data makes exact ties common.
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..300 {
+            let n = 5 + case % 12;
+            let mut d = Dataset::new(vec!["x0".into(), "x1".into()]);
+            for _ in 0..n {
+                let x = [f64::from(rng.gen_range(0..6u32)), f64::from(rng.gen_range(0..4u32))];
+                let y = if rng.gen_bool(0.6) {
+                    1.0 + x[0] - 2.0 * x[1]
+                } else {
+                    f64::from(rng.gen_range(-9..9))
+                };
+                d.push(&x, y).unwrap();
+            }
+            let want = unpruned_best(&d, 40, case as u64).map(|(med, b)| {
+                let s0 = 1.4826 * (1.0 + 5.0 / (n as f64 - 3.0)) * med.sqrt();
+                let threshold = (2.5 * s0).max(1e-9);
+                let inliers: Vec<usize> = (0..n)
+                    .filter(|&i| {
+                        let (row, y) = d.get(i);
+                        (b[0] + dot(&b[1..], row) - y).abs() <= threshold
+                    })
+                    .collect();
+                let refit = (inliers.len() > 3)
+                    .then(|| LinearModel::fit_ols(&d.subset(&inliers)).ok())
+                    .flatten();
+                refit.unwrap_or_else(|| LinearModel::from_solution(b))
+            });
+            let got = LinearModel::fit_lms(&d, 40, case as u64).ok();
+            assert_eq!(got, want, "case {case}, n = {n}");
+        }
+    }
+
     #[test]
     fn insufficient_data_errors() {
         let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![1.0], 1.0).unwrap();
+        d.push(&[1.0], 1.0).unwrap();
         assert!(LinearModel::fit_ols(&d).is_err());
         assert!(LinearModel::fit_lms(&d, 10, 0).is_err());
     }

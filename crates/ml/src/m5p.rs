@@ -90,7 +90,7 @@ impl ModelTree {
             });
         }
         let root_std = data.target_std();
-        let root = build(data, &config, root_std, 0)?;
+        let root = build(data, &config, root_std, 0, &mut SplitScratch::default())?;
         Ok(ModelTree { root, num_features: data.num_features(), config })
     }
 
@@ -256,23 +256,30 @@ fn fit_node_model(data: &Dataset) -> Result<LinearModel, FitError> {
     }
 }
 
-fn build(data: &Dataset, cfg: &M5pConfig, root_std: f64, depth: usize) -> Result<Node, FitError> {
+fn build(
+    data: &Dataset,
+    cfg: &M5pConfig,
+    root_std: f64,
+    depth: usize,
+    scratch: &mut SplitScratch,
+) -> Result<Node, FitError> {
     let model = fit_node_model(data)?;
 
+    let sd = data.target_std();
     let too_small = data.len() < cfg.min_split;
-    let pure = data.target_std() < cfg.purity_fraction * root_std;
+    let pure = sd < cfg.purity_fraction * root_std;
     let too_deep = depth >= cfg.max_depth;
     if too_small || pure || too_deep {
         return Ok(Node::Leaf { model });
     }
 
-    let Some((feature, threshold)) = best_split(data, cfg) else {
+    let Some((feature, threshold)) = best_split(data, sd, cfg, scratch) else {
         return Ok(Node::Leaf { model });
     };
     let (li, ri) = data.split_indices(feature, threshold);
     let (ld, rd) = (data.subset(&li), data.subset(&ri));
-    let left = build(&ld, cfg, root_std, depth + 1)?;
-    let right = build(&rd, cfg, root_std, depth + 1)?;
+    let left = build(&ld, cfg, root_std, depth + 1, scratch)?;
+    let right = build(&rd, cfg, root_std, depth + 1, scratch)?;
 
     // Prune: keep the subtree only if it beats this node's own linear model.
     let node = Node::Split {
@@ -300,33 +307,48 @@ fn subtree_mae(node: &Node, data: &Dataset) -> f64 {
     sum / data.len() as f64
 }
 
-/// Finds the (feature, threshold) pair maximising standard-deviation
-/// reduction, respecting the minimum-leaf constraint.
-fn best_split(data: &Dataset, cfg: &M5pConfig) -> Option<(usize, f64)> {
+/// The split search's buffers, reused at every node of one fit.
+#[derive(Default)]
+struct SplitScratch {
+    /// Each row's `(feature value, target)`, sorted by value.
+    pairs: Vec<(f64, f64)>,
+    /// Running `(Σy, Σy²)` over `pairs`.
+    prefix: Vec<(f64, f64)>,
+}
+
+/// Finds the (feature, threshold) pair maximising the reduction of
+/// `parent_sd`, the standard deviation of `data`'s targets, respecting the
+/// minimum-leaf constraint.
+fn best_split(
+    data: &Dataset,
+    parent_sd: f64,
+    cfg: &M5pConfig,
+    scratch: &mut SplitScratch,
+) -> Option<(usize, f64)> {
     let n = data.len();
-    let parent_sd = data.target_std();
     if parent_sd <= 0.0 {
         return None;
     }
     let mut best: Option<(f64, usize, f64)> = None;
+    let SplitScratch { pairs, prefix } = scratch;
 
     for feature in 0..data.num_features() {
         // Sort (value, target) by value; candidate thresholds are midpoints.
-        let mut pairs: Vec<(f64, f64)> =
-            data.iter().map(|(row, y)| (row[feature], y)).collect();
+        // The sort is stable, so tied values keep their row order and the
+        // prefix sums their bits.
+        pairs.clear();
+        pairs.extend(data.iter().map(|(row, y)| (row[feature], y)));
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Prefix sums for O(1) variance at each cut.
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
-        let prefix: Vec<(f64, f64)> = pairs
-            .iter()
-            .map(|&(_, y)| {
-                sum += y;
-                sum_sq += y * y;
-                (sum, sum_sq)
-            })
-            .collect();
+        prefix.clear();
+        prefix.extend(pairs.iter().map(|&(_, y)| {
+            sum += y;
+            sum_sq += y * y;
+            (sum, sum_sq)
+        }));
         let (total, total_sq) = *prefix.last().unwrap();
 
         for cut in cfg.min_leaf..=(n - cfg.min_leaf) {
@@ -364,7 +386,7 @@ mod tests {
         for i in 0..=100 {
             let s = f64::from(i) / 100.0;
             let power = 8.0 + 417.0 * s.powi(3);
-            d.push(vec![s], power).unwrap();
+            d.push(&[s], power).unwrap();
         }
         d
     }
@@ -389,7 +411,7 @@ mod tests {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..100 {
             let x = f64::from(i) / 100.0;
-            d.push(vec![x], if x < 0.5 { 0.0 } else { 10.0 }).unwrap();
+            d.push(&[x], if x < 0.5 { 0.0 } else { 10.0 }).unwrap();
         }
         let tree = ModelTree::fit(
             &d,
@@ -404,7 +426,7 @@ mod tests {
     fn pure_target_yields_single_leaf() {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..50 {
-            d.push(vec![f64::from(i)], 5.0).unwrap();
+            d.push(&[f64::from(i)], 5.0).unwrap();
         }
         let tree = ModelTree::fit_default(&d).unwrap();
         assert_eq!(tree.num_leaves(), 1);
@@ -419,7 +441,7 @@ mod tests {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..80 {
             let x = f64::from(i) * 0.1;
-            d.push(vec![x], 3.0 * x - 2.0).unwrap();
+            d.push(&[x], 3.0 * x - 2.0).unwrap();
         }
         let tree = ModelTree::fit_default(&d).unwrap();
         assert!(rmse(&tree, &d) < 0.2, "rmse {}", rmse(&tree, &d));
@@ -437,7 +459,7 @@ mod tests {
     #[test]
     fn insufficient_data_rejected() {
         let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![1.0], 1.0).unwrap();
+        d.push(&[1.0], 1.0).unwrap();
         assert!(matches!(
             ModelTree::fit_default(&d),
             Err(FitError::InsufficientData { .. })
@@ -451,7 +473,7 @@ mod tests {
         for i in 0..200 {
             let x = f64::from(i) / 200.0;
             let nz = f64::from((i * 31) % 17) / 17.0;
-            d.push(vec![x, nz], if x < 0.4 { 1.0 } else { 8.0 }).unwrap();
+            d.push(&[x, nz], if x < 0.4 { 1.0 } else { 8.0 }).unwrap();
         }
         let tree =
             ModelTree::fit(&d, M5pConfig { smoothing: 0.0, ..M5pConfig::default() }).unwrap();
@@ -516,7 +538,7 @@ mod tests {
     fn batch_wrong_arity_panics() {
         let mut d = Dataset::new(vec!["a".into(), "b".into()]);
         for i in 0..20 {
-            d.push(vec![f64::from(i), 0.0], f64::from(i)).unwrap();
+            d.push(&[f64::from(i), 0.0], f64::from(i)).unwrap();
         }
         let tree = ModelTree::fit_default(&d).unwrap();
         let mut out = Vec::new();

@@ -55,7 +55,7 @@ mod sensor;
 mod server;
 mod tks;
 
-pub use plant::{ItLoad, OutsideConditions, Plant, PlantBank, PlantConfig};
+pub use plant::{ItLoad, OutsideConditions, Plant, PlantBank, PlantConfig, PlantSample};
 pub use pods::{PodId, PodLayout, PodSpec, PODS, SERVERS_PER_POD, TOTAL_SERVERS};
 pub use power::cooling_power;
 pub use regime::{CoolingRegime, Infrastructure, ModelKey, RegimeClass};

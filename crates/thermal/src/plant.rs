@@ -514,17 +514,25 @@ impl PlantBank {
         cooling_power(self.applied[lane], self.config.infrastructure)
     }
 
+    /// One lane's sensor state, borrowed: the fields a snapshot is built
+    /// from that the Cooling Modeler samples, without building it.
+    #[must_use]
+    pub fn sample_lane(&self, lane: usize) -> PlantSample<'_> {
+        PlantSample {
+            pod_inlets: &self.pod_temps[lane * self.pods..(lane + 1) * self.pods],
+            outside: self.last_outside[lane],
+            cold_aisle_abs: AbsoluteHumidity::new(self.abs_humidity[lane]),
+            active_fraction: self.last_active_fraction[lane],
+        }
+    }
+
     /// One lane's pod inlet temperatures (°C) and cold-aisle relative
     /// humidity — the `pod_inlets` and `cold_aisle_rh` of
     /// [`PlantBank::readings_lane`], without the rest of the snapshot.
     #[must_use]
     pub fn inlets_and_rh_lane(&self, lane: usize) -> (&[f64], RelativeHumidity) {
-        let pod_temps = &self.pod_temps[lane * self.pods..(lane + 1) * self.pods];
-        // The cold-aisle humidity sensor sits near the warmer pods; use the
-        // mean inlet for the RH conversion.
-        let mean_inlet = pod_temps.iter().sum::<f64>() / pod_temps.len() as f64;
-        let cold_abs = AbsoluteHumidity::new(self.abs_humidity[lane]);
-        (pod_temps, psychro::relative_humidity(Celsius::new(mean_inlet), cold_abs))
+        let sample = self.sample_lane(lane);
+        (sample.pod_inlets, sample.cold_aisle_rh())
     }
 
     /// A snapshot of one lane's sensors, stamped with `now`.
@@ -532,26 +540,56 @@ impl PlantBank {
     pub fn readings_lane(&self, lane: usize, now: SimTime) -> SensorReadings {
         let base = lane * self.pods;
         let disk_temps = &self.disk_temps[base..base + self.pods];
-        let cold_abs = AbsoluteHumidity::new(self.abs_humidity[lane]);
-        let (pod_temps, cold_aisle_rh) = self.inlets_and_rh_lane(lane);
+        let sample = self.sample_lane(lane);
+        let outside = sample.outside;
         SensorReadings {
             time: now,
-            outside_temp: self.last_outside[lane].temperature,
-            outside_rh: psychro::relative_humidity(
-                self.last_outside[lane].temperature,
-                self.last_outside[lane].abs_humidity,
-            ),
-            outside_abs: self.last_outside[lane].abs_humidity,
-            pod_inlets: pod_temps.iter().map(|&t| Celsius::new(t)).collect(),
-            cold_aisle_rh,
-            cold_aisle_abs: cold_abs,
+            outside_temp: outside.temperature,
+            outside_rh: psychro::relative_humidity(outside.temperature, outside.abs_humidity),
+            outside_abs: outside.abs_humidity,
+            pod_inlets: sample.pod_inlets.iter().map(|&t| Celsius::new(t)).collect(),
+            cold_aisle_rh: sample.cold_aisle_rh(),
+            cold_aisle_abs: sample.cold_aisle_abs,
             hot_aisle: Celsius::new(self.hot_aisle[lane]),
             disk_temps: disk_temps.iter().map(|&t| Celsius::new(t)).collect(),
             regime: self.applied[lane],
             cooling_power: self.cooling_power_lane(lane),
             it_power: self.last_it_power[lane],
-            active_fraction: self.last_active_fraction[lane],
+            active_fraction: sample.active_fraction,
         }
+    }
+}
+
+/// One plant lane's sensor state, borrowed from the plant: the pod inlets,
+/// outside conditions, cold-aisle humidity and active fraction of a
+/// [`SensorReadings`] snapshot, which is built from it. The Cooling
+/// Modeler samples these every two simulated minutes of a training run,
+/// where a snapshot's two `Vec`s and two humidity conversions would be
+/// waste.
+#[derive(Debug, Clone, Copy)]
+pub struct PlantSample<'a> {
+    /// Pod inlet temperatures, °C, in layout order.
+    pub pod_inlets: &'a [f64],
+    /// Outside conditions of the last step.
+    pub outside: OutsideConditions,
+    /// Cold-aisle absolute humidity.
+    pub cold_aisle_abs: AbsoluteHumidity,
+    /// Active fraction of the last step's IT load.
+    pub active_fraction: f64,
+}
+
+impl PlantSample<'_> {
+    /// Mean pod inlet temperature, °C.
+    #[must_use]
+    pub fn mean_inlet(&self) -> f64 {
+        self.pod_inlets.iter().sum::<f64>() / self.pod_inlets.len() as f64
+    }
+
+    /// Cold-aisle relative humidity. The humidity sensor sits near the
+    /// warmer pods; the conversion uses the mean inlet.
+    #[must_use]
+    pub fn cold_aisle_rh(&self) -> RelativeHumidity {
+        psychro::relative_humidity(Celsius::new(self.mean_inlet()), self.cold_aisle_abs)
     }
 }
 
@@ -615,6 +653,13 @@ impl Plant {
     #[must_use]
     pub fn readings(&self, now: SimTime) -> SensorReadings {
         self.bank.readings_lane(0, now)
+    }
+
+    /// The sensor state a snapshot is built from, without building it
+    /// (see [`PlantSample`]).
+    #[must_use]
+    pub fn sample(&self) -> PlantSample<'_> {
+        self.bank.sample_lane(0)
     }
 
     /// Pod inlet temperatures (°C) and cold-aisle relative humidity — the

@@ -1,7 +1,10 @@
 //! Heap allocations on the simulator's hot paths, counted after warm-up: a
 //! physics step of the plant and a compute tick of the cluster allocate
 //! nothing, and a Smooth Cooling Optimizer tick allocates only for the
-//! decision it returns and the tick's prediction context.
+//! decision it returns and the tick's prediction context. Training costs
+//! a bounded number of allocations too: a least-squares fit allocates its
+//! buffers once, whatever its row count, and a Cooling Model training run
+//! allocates per fitted model, not per simulated step or sample.
 //!
 //! A counting global allocator keeps one count per thread, so the tests of
 //! this file can run in parallel without reading each other's allocations.
@@ -11,6 +14,7 @@ use std::cell::Cell;
 
 use coolair_suite::core::manager::optimizer::CoolingOptimizer;
 use coolair_suite::core::{train_cooling_model, CoolAirConfig, TempBand, TrainingConfig, Version};
+use coolair_suite::ml::{Dataset, LinearModel};
 use coolair_suite::thermal::{
     CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig,
 };
@@ -19,6 +23,8 @@ use coolair_suite::units::{
 };
 use coolair_suite::weather::{Location, TmySeries};
 use coolair_suite::workload::{facebook_trace, Cluster, ClusterConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -161,4 +167,46 @@ fn warmed_smooth_optimizer_select_allocates_at_most_40_times() {
         count <= 40,
         "a warmed smooth select allocated {count} times"
     );
+}
+
+/// 2 000 seeded rows over seven features: a noisy linear target, a tenth
+/// of the rows carrying a gross outlier.
+fn regression_rows() -> Dataset {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut d = Dataset::new((0..7).map(|i| format!("x{i}")).collect());
+    for _ in 0..2000 {
+        let x: Vec<f64> = (0..7).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        let y = x.iter().enumerate().map(|(i, v)| (i as f64 - 3.0) * v).sum::<f64>()
+            + rng.gen_range(-0.5..0.5)
+            + if rng.gen_bool(0.1) { 200.0 } else { 0.0 };
+        d.push(&x, y).expect("finite");
+    }
+    d
+}
+
+#[test]
+fn ols_fit_allocates_at_most_8_times() {
+    let data = regression_rows();
+    let count = allocations_during(|| {
+        LinearModel::fit_ols(&data).expect("well posed");
+    });
+    assert!(count <= 8, "fit_ols on 2 000 rows allocated {count} times");
+}
+
+#[test]
+fn lms_fit_allocates_at_most_8_times() {
+    let data = regression_rows();
+    let count = allocations_during(|| {
+        LinearModel::fit_lms(&data, 60, 7).expect("well posed");
+    });
+    assert!(count <= 8, "fit_lms with 60 draws on 2 000 rows allocated {count} times");
+}
+
+#[test]
+fn quick_training_allocates_at_most_10_000_times() {
+    let tmy = TmySeries::generate(&Location::newark(), 11);
+    let count = allocations_during(|| {
+        let _ = train_cooling_model(&tmy, &TrainingConfig::quick());
+    });
+    assert!(count <= 10_000, "a quick Newark training allocated {count} times");
 }

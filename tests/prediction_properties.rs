@@ -439,3 +439,35 @@ fn quick_trained_model_json_matches_its_pinned_digest() {
     let got = format!("{} bytes, digest {}", json.len(), stable_digest(model));
     assert_eq!(got, "6532 bytes, digest 92aa55eaa3335a69", "model JSON changed");
 }
+
+/// Trained Cooling Models serialize to the bytes they did before training
+/// moved to flat datasets, reused least-squares buffers and pruned LMS
+/// selections: each of the five paper locations at weather seed 42 with
+/// the quick configuration, and Newark and Santiago with the 45-day
+/// default. Newark's 45-day `Steady(Closed)` key has no fan variance, so
+/// every LMS draw on it is singular; Santiago's free-cooling key has the
+/// most LMS winners and the largest M5P power tree.
+#[test]
+fn trained_models_match_their_pinned_digests() {
+    let pins: [(Location, TrainingConfig, &str); 7] = [
+        (Location::newark(), TrainingConfig::quick(), "6570 bytes, digest edfaa2566dca830b"),
+        (Location::chad(), TrainingConfig::quick(), "10596 bytes, digest 4578994f363133d5"),
+        (Location::santiago(), TrainingConfig::quick(), "12256 bytes, digest 440c0ca34de354db"),
+        (Location::iceland(), TrainingConfig::quick(), "6555 bytes, digest 08be12dcbfdbee2b"),
+        (Location::singapore(), TrainingConfig::quick(), "7463 bytes, digest e66f7f1cf12e731c"),
+        (Location::newark(), TrainingConfig::default(), "7298 bytes, digest 3b2efe44752165c0"),
+        (Location::santiago(), TrainingConfig::default(), "13989 bytes, digest 632cd2d77f37048c"),
+    ];
+    let mut mismatches = Vec::new();
+    for (location, config, want) in pins {
+        let tmy = TmySeries::generate(&location, 42);
+        let model = train_cooling_model(&tmy, &config);
+        let json = serde_json::to_string(&model).expect("model serializes");
+        let got = format!("{} bytes, digest {}", json.len(), stable_digest(&model));
+        if got != want {
+            let days = config.days;
+            mismatches.push(format!("{} over {days} days: {got} (pinned {want})", location.name()));
+        }
+    }
+    assert!(mismatches.is_empty(), "trained models changed:\n{}", mismatches.join("\n"));
+}

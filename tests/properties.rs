@@ -169,7 +169,7 @@ proptest! {
             let a = f64::from(i) * 0.37;
             let b = f64::from((i * 13) % 7);
             let y = intercept + coeffs[0] * a + coeffs[1] * b;
-            data.push(vec![a, b], y).unwrap();
+            data.push(&[a, b], y).unwrap();
         }
         let m = LinearModel::fit_ols(&data).unwrap();
         for (x, y) in data.iter() {
