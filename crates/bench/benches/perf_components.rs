@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths: plant physics steps, the
-//! cluster's compute tick, the learned-model prediction, the Cooling
-//! Optimizer's decision, M5P and LMS fits and a quick Cooling Model
-//! training, and full closed-loop simulated days (the baseline and All-ND
-//! on the smooth plant).
+//! cluster's compute tick with and without the Compute Manager, the
+//! learned-model prediction, the Cooling Optimizer's decision, M5P and LMS
+//! fits and a quick Cooling Model training, and full closed-loop simulated
+//! days (the baseline and All-ND on the smooth plant).
 //!
 //! Besides the usual stdout lines, this bench writes `BENCH_perf.json` at
 //! the repo root — a machine-readable record of the median ns/iter for each
@@ -48,14 +48,31 @@ fn bench_plant_step(c: &mut Criterion) {
 }
 
 fn bench_cluster_compute_tick(c: &mut Criterion) {
-    // The Compute Manager's rule: the active set sized to demand.
-    bench_compute_tick(c, "cluster_compute_tick", |cluster, now| {
+    // The Compute Manager's rule without its hold-down: the active set
+    // sized to demand.
+    bench_compute_tick(c, "cluster_compute_tick", None, |cluster, now| {
         cluster.demand(now).max(cluster.config().covering_count)
     });
     // The active set capped at the covering subset, as a learner that sheds
     // servers leaves it: about 1 600 jobs are queued by noon.
-    bench_compute_tick(c, "cluster_compute_tick_backlog", |cluster, now| {
+    bench_compute_tick(c, "cluster_compute_tick_backlog", None, |cluster, now| {
         cluster.demand(now).min(cluster.config().covering_count)
+    });
+    // The engine's tick under All-ND: the Compute Manager holds the
+    // largest demand of its 20-minute window and marks the active pods,
+    // over the cluster in the version's placement order.
+    let tmy = TmySeries::generate(&Location::newark(), 11);
+    let mut coolair = CoolAir::new(
+        Version::AllNd,
+        CoolAirConfig::default(),
+        train_cooling_model(&tmy, &TrainingConfig::quick()),
+        Forecaster::perfect(tmy),
+        Infrastructure::Smooth,
+    );
+    let priority = coolair.server_priority().to_vec();
+    bench_compute_tick(c, "compute_manager_tick", Some(&priority), move |cluster, now| {
+        let covering = cluster.config().covering_count;
+        coolair.decide_compute(cluster.demand(now), covering)
     });
 }
 
@@ -64,13 +81,21 @@ fn bench_cluster_compute_tick(c: &mut Criterion) {
 /// refresh the IT load in place. Day 100 of the Facebook trace is replayed
 /// from midnight to noon under the same target first, so the timed ticks
 /// see a midday queue.
-fn bench_compute_tick(c: &mut Criterion, name: &str, target: fn(&Cluster, SimTime) -> usize) {
+fn bench_compute_tick(
+    c: &mut Criterion,
+    name: &str,
+    priority: Option<&[usize]>,
+    mut target: impl FnMut(&Cluster, SimTime) -> usize,
+) {
     let mut pending: VecDeque<coolair_workload::Job> = {
         let mut jobs = facebook_trace(1).jobs_for_day(100);
         jobs.sort_by_key(|j| j.submit);
         jobs.into()
     };
     let mut cluster = Cluster::new(ClusterConfig::parasol());
+    if let Some(priority) = priority {
+        cluster.set_priority(priority);
+    }
     let minute = SimDuration::from_minutes(1);
     let mut now = SimTime::from_days(100);
     let mut it = ItLoad::uniform(4, Watts::ZERO, 1.0);

@@ -40,7 +40,11 @@ pub struct CoolAir {
     last_reading: Option<SensorReadings>,
     priority: Vec<usize>,
     active_pods: Vec<bool>,
+    /// The `(target, covering)` pair `active_pods` was marked for.
+    active_pods_for: Option<(usize, usize)>,
     demand_window: std::collections::VecDeque<usize>,
+    /// The largest demand in `demand_window` (0 while it is empty).
+    window_max: usize,
 }
 
 impl CoolAir {
@@ -71,7 +75,9 @@ impl CoolAir {
             last_reading: None,
             priority,
             active_pods: vec![true; pods],
+            active_pods_for: None,
             demand_window: std::collections::VecDeque::with_capacity(window_capacity),
+            window_max: 0,
         }
     }
 
@@ -188,21 +194,32 @@ impl CoolAir {
         // Rapid wake/sleep cycling would both thrash disks and inject
         // heat-load swings — the exact variation CoolAir exists to
         // suppress; the hold-down matches the §4.2 decommission grace.
+        // The window's maximum is kept as demands come and go: only
+        // evicting the maximum itself, with no new demand as large,
+        // rescans the window.
+        let mut evicted_max = false;
         while self.demand_window.len() >= self.cfg.demand_window.max(1) {
-            self.demand_window.pop_front();
+            evicted_max |= self.demand_window.pop_front() == Some(self.window_max);
         }
         self.demand_window.push_back(demand);
-        let held = self.demand_window.iter().copied().max().unwrap_or(demand);
-        let target = held.min(total);
+        if demand >= self.window_max {
+            self.window_max = demand;
+        } else if evicted_max {
+            self.window_max = self.demand_window.iter().copied().max().unwrap_or(demand);
+        }
+        let target = self.window_max.min(total);
         // Active pods: those hosting covering-subset servers (indices
         // 0..covering) plus those receiving the first `target` priority
         // servers.
-        self.active_pods.fill(false);
-        for s in 0..covering.min(total) {
-            self.active_pods[s / SERVERS_PER_POD] = true;
-        }
-        for &s in self.priority.iter().take(target) {
-            self.active_pods[s / SERVERS_PER_POD] = true;
+        if self.active_pods_for != Some((target, covering)) {
+            self.active_pods_for = Some((target, covering));
+            self.active_pods.fill(false);
+            for s in 0..covering.min(total) {
+                self.active_pods[s / SERVERS_PER_POD] = true;
+            }
+            for &s in self.priority.iter().take(target) {
+                self.active_pods[s / SERVERS_PER_POD] = true;
+            }
         }
         target
     }
@@ -300,6 +317,60 @@ mod tests {
         let active = ca.active_pods();
         assert!(active[0], "pod 0 hosts covering subset and first placements");
         assert!(!active[3], "pod 3 idle under high-recirc-first with demand 10");
+    }
+
+    /// The kept window maximum and the active pods re-marked only when
+    /// `(target, covering)` changes agree with a from-scratch maximum over
+    /// the last `demand_window` demands and a from-scratch pod marking,
+    /// over a seeded stream of plateaus, ramps, spikes past the server
+    /// count and drops to zero, for windows of 1, 2 and 20.
+    #[test]
+    fn incremental_compute_decisions_match_a_rescan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let tmy = TmySeries::generate(&Location::newark(), 11);
+        let model = train_cooling_model(&tmy, &TrainingConfig::quick());
+        for window in [1usize, 2, 20] {
+            for version in [Version::AllNd, Version::Energy] {
+                let cfg = CoolAirConfig { demand_window: window, ..CoolAirConfig::default() };
+                let mut ca = CoolAir::new(
+                    version,
+                    cfg,
+                    model.clone(),
+                    Forecaster::perfect(tmy.clone()),
+                    Infrastructure::Parasol,
+                );
+                let total = ca.server_priority().len();
+                let mut rng = StdRng::seed_from_u64(window as u64);
+                let (mut demands, mut demand, mut covering) = (Vec::new(), 0usize, 8usize);
+                for tick in 0..3_000 {
+                    match rng.gen_range(0..10u32) {
+                        0 => demand = rng.gen_range(0..=2 * total),
+                        1 => demand = 0,
+                        2 => demand = demand.saturating_sub(rng.gen_range(1..6)),
+                        3 => demand += rng.gen_range(1..6),
+                        _ => {}
+                    }
+                    if rng.gen_bool(0.02) {
+                        covering = rng.gen_range(0..=total);
+                    }
+                    demands.push(demand);
+                    let target = ca.decide_compute(demand, covering);
+                    let held = demands[demands.len().saturating_sub(window)..].iter().max();
+                    let want = held.copied().unwrap_or(0).min(total);
+                    assert_eq!(target, want, "window {window}, tick {tick}: target");
+                    let mut pods = vec![false; ca.active_pods().len()];
+                    for s in 0..covering.min(total) {
+                        pods[s / SERVERS_PER_POD] = true;
+                    }
+                    for &s in ca.server_priority().iter().take(want) {
+                        pods[s / SERVERS_PER_POD] = true;
+                    }
+                    assert_eq!(ca.active_pods(), &pods[..], "window {window}, tick {tick}: pods");
+                }
+            }
+        }
     }
 
     #[test]

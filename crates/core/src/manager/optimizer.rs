@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{CoolAirConfig, UtilityProfile};
 use crate::manager::band::TempBand;
-use crate::manager::predictor::{Prediction, PredictionContext};
+use crate::manager::predictor::{Prediction, PredictionBuffers, PredictionContext};
 use crate::manager::utility::utility_penalty;
 use crate::modeler::CoolingModel;
 
@@ -53,8 +53,9 @@ impl std::error::Error for SelectError {}
 /// [`PredictionContext`], which rolls each distinct regime forward once,
 /// into one of two prediction buffers the optimizer keeps across ticks:
 /// each candidate is scored as soon as it is written, and the best so far
-/// is kept by swapping buffers, so only the returned [`Decision`] copies a
-/// prediction.
+/// is kept by swapping buffers. The context works in buffers the optimizer
+/// keeps across ticks too, so a warmed tick allocates only the prediction
+/// the returned [`Decision`] copies.
 #[derive(Debug, Clone)]
 pub struct CoolingOptimizer {
     profile: UtilityProfile,
@@ -66,6 +67,8 @@ pub struct CoolingOptimizer {
     scored: Prediction,
     /// The best candidate so far this tick.
     best: Prediction,
+    /// The prediction context's start state, scratch and anchors.
+    buffers: PredictionBuffers,
 }
 
 impl CoolingOptimizer {
@@ -80,6 +83,7 @@ impl CoolingOptimizer {
             candidates: infra.candidate_regimes(),
             scored: Prediction::default(),
             best: Prediction::default(),
+            buffers: PredictionBuffers::default(),
         }
     }
 
@@ -118,7 +122,9 @@ impl CoolingOptimizer {
     ) -> Result<Decision, SelectError> {
         assert_eq!(active_pods.len(), model.pods(), "active pod arity");
         let _select_scope = self.telemetry.time_scope("optimizer.select");
-        let mut ctx = PredictionContext::new(model, cfg, self.infra, readings, prev);
+        let buffers = std::mem::take(&mut self.buffers);
+        let mut ctx =
+            PredictionContext::with_buffers(model, cfg, self.infra, readings, prev, buffers);
         let mut best: Option<(CoolingRegime, f64)> = None;
         for &candidate in &self.candidates {
             {
@@ -140,6 +146,7 @@ impl CoolingOptimizer {
                 std::mem::swap(&mut self.scored, &mut self.best);
             }
         }
+        self.buffers = ctx.into_buffers();
         let (regime, penalty) = best.ok_or(SelectError::NoCandidates)?;
         Ok(Decision {
             regime,

@@ -76,6 +76,19 @@ struct PredictScratch {
     sum_temps: Vec<f64>,
 }
 
+/// The buffers a [`PredictionContext`] works in, handed from one tick's
+/// context to the next so that a warmed tick allocates nothing: the start
+/// state, the roll-forward scratch and the anchor predictions. Their
+/// contents are dead between contexts; only the allocations carry over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PredictionBuffers {
+    base_t_now: Vec<f64>,
+    base_t_prev: Vec<f64>,
+    scratch: PredictScratch,
+    /// Anchor slots; the first `anchors_len` of a context are this tick's.
+    anchors: Vec<(CoolingRegime, Prediction)>,
+}
+
 /// Phase one of the two-phase prediction API: everything about a tick that
 /// does **not** depend on the candidate regime, computed exactly once.
 ///
@@ -139,8 +152,10 @@ pub struct PredictionContext<'a> {
     substeps: usize,
     period_hours: f64,
     scratch: PredictScratch,
-    /// Anchor roll-forwards done so far this tick, keyed by regime.
+    /// Anchor roll-forwards done so far this tick, keyed by regime: the
+    /// first `anchors_len` entries (later ones are spare buffers).
     anchors: Vec<(CoolingRegime, Prediction)>,
+    anchors_len: usize,
 }
 
 /// The regimes interpolated candidates blend between: AC fan-only and
@@ -165,14 +180,38 @@ impl<'a> PredictionContext<'a> {
         readings: &SensorReadings,
         prev: Option<&SensorReadings>,
     ) -> Self {
+        Self::with_buffers(model, cfg, infra, readings, prev, PredictionBuffers::default())
+    }
+
+    /// [`PredictionContext::new`] working in `buffers`, which
+    /// [`PredictionContext::into_buffers`] hands back for the next tick.
+    pub(crate) fn with_buffers(
+        model: &'a CoolingModel,
+        cfg: &'a CoolAirConfig,
+        infra: Infrastructure,
+        readings: &SensorReadings,
+        prev: Option<&SensorReadings>,
+        buffers: PredictionBuffers,
+    ) -> Self {
         let pods = model.pods();
-        let base_t_now: Vec<f64> = readings.pod_inlets.iter().map(|t| t.value()).collect();
-        let base_t_prev: Vec<f64> = match prev {
+        let PredictionBuffers { mut base_t_now, mut base_t_prev, mut scratch, anchors } = buffers;
+        refill(&mut base_t_now, readings.pod_inlets.iter().map(|t| t.value()));
+        match prev {
             Some(p) if p.pod_inlets.len() == pods => {
-                p.pod_inlets.iter().map(|t| t.value()).collect()
+                refill(&mut base_t_prev, p.pod_inlets.iter().map(|t| t.value()));
             }
-            _ => base_t_now.clone(),
-        };
+            _ => base_t_prev.clone_from(&base_t_now),
+        }
+        for buffer in [
+            &mut scratch.t_now,
+            &mut scratch.t_prev,
+            &mut scratch.next,
+            &mut scratch.max_temps,
+            &mut scratch.sum_temps,
+        ] {
+            buffer.clear();
+            buffer.resize(pods, 0.0);
+        }
         PredictionContext {
             model,
             cfg,
@@ -188,14 +227,19 @@ impl<'a> PredictionContext<'a> {
             util: readings.active_fraction,
             substeps: cfg.substeps(),
             period_hours: cfg.control_period.as_hours_f64(),
-            scratch: PredictScratch {
-                t_now: vec![0.0; pods],
-                t_prev: vec![0.0; pods],
-                next: vec![0.0; pods],
-                max_temps: vec![0.0; pods],
-                sum_temps: vec![0.0; pods],
-            },
-            anchors: Vec::new(),
+            scratch,
+            anchors,
+            anchors_len: 0,
+        }
+    }
+
+    /// Releases the context's buffers for the next tick's context.
+    pub(crate) fn into_buffers(self) -> PredictionBuffers {
+        PredictionBuffers {
+            base_t_now: self.base_t_now,
+            base_t_prev: self.base_t_prev,
+            scratch: self.scratch,
+            anchors: self.anchors,
         }
     }
 
@@ -265,13 +309,20 @@ impl<'a> PredictionContext<'a> {
     /// The index in `anchors` of `regime`'s roll-forward, rolling it
     /// forward on first use.
     fn anchor(&mut self, regime: CoolingRegime) -> usize {
-        if let Some(i) = self.anchors.iter().position(|(r, _)| *r == regime) {
+        let done = &self.anchors[..self.anchors_len];
+        if let Some(i) = done.iter().position(|(r, _)| *r == regime) {
             return i;
         }
-        let mut prediction = Prediction::default();
+        let i = self.anchors_len;
+        if i == self.anchors.len() {
+            self.anchors.push((regime, Prediction::default()));
+        }
+        // Roll forward into the slot's buffers, taken out for the call.
+        let mut prediction = std::mem::take(&mut self.anchors[i].1);
         self.predict_single(regime, &mut prediction);
-        self.anchors.push((regime, prediction));
-        self.anchors.len() - 1
+        self.anchors[i] = (regime, prediction);
+        self.anchors_len += 1;
+        i
     }
 
     fn predict_single(&mut self, candidate: CoolingRegime, out: &mut Prediction) {

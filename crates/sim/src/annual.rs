@@ -11,6 +11,8 @@ use coolair_units::Celsius;
 use coolair_weather::{ForecastError, Forecaster, Location, TmySeries};
 use coolair_workload::{facebook_trace, nutch_trace, Cluster, ClusterConfig, Trace, TraceKind};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::engine::{SimConfig, SimController, Simulation};
 use crate::faults::FaultPlan;
@@ -131,17 +133,41 @@ impl AnnualConfig {
     }
 }
 
-/// Builds the day-long trace for a config (shared with the episode layer).
-pub(crate) fn build_trace(kind: TraceKind, cfg: &AnnualConfig) -> Trace {
-    let base = match kind {
-        TraceKind::Facebook => facebook_trace(cfg.trace_seed),
-        TraceKind::Nutch => nutch_trace(cfg.trace_seed),
-    };
-    if cfg.deferrable {
-        base.with_deadlines(CoolAirConfig::default().deferral_deadline)
-    } else {
-        base
-    }
+/// Everything [`build_trace`] reads from its arguments: the trace kind,
+/// its seed and whether jobs carry the (constant) deferral deadline.
+type TraceKey = (TraceKind, u64, bool);
+
+thread_local! {
+    /// The last trace this thread built. Consecutive runs over one trace
+    /// (the years of a grid, the lanes of a campaign) share it instead of
+    /// regenerating some 5 500 jobs each; one entry per thread bounds the
+    /// memory and needs no lock.
+    static LAST_TRACE: RefCell<Option<(TraceKey, Arc<Trace>)>> = const { RefCell::new(None) };
+}
+
+/// Builds the day-long trace for a config (shared with the episode layer),
+/// or returns the one this thread built last for the same key.
+pub(crate) fn build_trace(kind: TraceKind, cfg: &AnnualConfig) -> Arc<Trace> {
+    let key = (kind, cfg.trace_seed, cfg.deferrable);
+    LAST_TRACE.with(|last| {
+        let mut last = last.borrow_mut();
+        if let Some((built, trace)) = last.as_ref() {
+            if *built == key {
+                return Arc::clone(trace);
+            }
+        }
+        let base = match kind {
+            TraceKind::Facebook => facebook_trace(cfg.trace_seed),
+            TraceKind::Nutch => nutch_trace(cfg.trace_seed),
+        };
+        let trace = Arc::new(if cfg.deferrable {
+            base.with_deadlines(CoolAirConfig::default().deferral_deadline)
+        } else {
+            base
+        });
+        *last = Some((key, Arc::clone(&trace)));
+        trace
+    })
 }
 
 /// Trains the Cooling Model for a location (on the Parasol plant, under the
@@ -362,6 +388,42 @@ mod tests {
             TraceKind::Facebook,
             &cfg,
         );
+    }
+
+    /// The memo hands back traces equal to a fresh generation whichever
+    /// key came before: kind, seed and deferrability each key it.
+    #[test]
+    fn memoized_traces_equal_fresh_ones_under_alternating_keys() {
+        let keys = [
+            (TraceKind::Facebook, 1, false),
+            (TraceKind::Facebook, 1, false),
+            (TraceKind::Facebook, 2, false),
+            (TraceKind::Nutch, 1, false),
+            (TraceKind::Facebook, 1, true),
+            (TraceKind::Facebook, 1, false),
+            (TraceKind::Facebook, 1, true),
+            (TraceKind::Nutch, 1, false),
+            (TraceKind::Facebook, 2, false),
+        ];
+        let mut previous: Option<Arc<Trace>> = None;
+        for (kind, trace_seed, deferrable) in keys {
+            let cfg = AnnualConfig { trace_seed, deferrable, ..AnnualConfig::quick() };
+            let got = build_trace(kind, &cfg);
+            let base = match kind {
+                TraceKind::Facebook => facebook_trace(trace_seed),
+                TraceKind::Nutch => nutch_trace(trace_seed),
+            };
+            let fresh = if deferrable {
+                base.with_deadlines(CoolAirConfig::default().deferral_deadline)
+            } else {
+                base
+            };
+            assert!(*got == fresh, "{kind:?} seed {trace_seed} deferrable {deferrable}");
+            if let Some(previous) = previous.replace(Arc::clone(&got)) {
+                // A repeated key shares the trace; any other key builds anew.
+                assert_eq!(Arc::ptr_eq(&previous, &got), *previous == *got);
+            }
+        }
     }
 
     #[test]

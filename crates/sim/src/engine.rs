@@ -428,22 +428,32 @@ impl<P: Container> Simulation<P> {
 
             // --- sensing & control --------------------------------------------
             // Controllers sense through the fault layer; only the metrics
-            // below sample the plant's ground truth.
-            if (t % self.cfg.observe_period).is_zero() {
-                let readings = self.controller_readings(t);
-                match &mut self.controller {
-                    SimController::Baseline(_) => {}
-                    SimController::CoolAir(ca) => ca.observe(readings),
-                    SimController::Supervised(sv) => sv.observe(readings),
-                }
-            }
+            // below sample the plant's ground truth. One snapshot serves an
+            // instant that both observes and controls; the baseline observes
+            // nothing, so between its control ticks only the fault layer's
+            // stale-hold buffer follows the plant.
+            let observe = (t % self.cfg.observe_period).is_zero();
             let control_period = match &self.controller {
                 SimController::Baseline(_) => self.cfg.baseline_control,
                 SimController::CoolAir(ca) => ca.config().control_period,
                 SimController::Supervised(sv) => sv.inner().config().control_period,
             };
-            if (t % control_period).is_zero() {
+            let control = (t % control_period).is_zero();
+            let baseline = matches!(self.controller, SimController::Baseline(_));
+            if observe && !control {
+                if baseline {
+                    let (inlets, _) = self.plant.inlets_and_rh();
+                    self.faults.refresh_stale_hold(t, inlets, &mut self.stale_inlets);
+                } else {
+                    let readings = self.controller_readings(t);
+                    self.observe(readings);
+                }
+            }
+            if control {
                 let readings = self.controller_readings(t);
+                if observe && !baseline {
+                    self.observe(readings.clone());
+                }
                 let prev_regime = self.regime;
                 self.regime = {
                     let _decide_scope = self.telemetry.time_scope("controller.decide");
@@ -566,6 +576,15 @@ impl<P: Container> Simulation<P> {
             it_kwh: record.it_kwh,
         });
         DayOutput { record, minutes }
+    }
+
+    /// Hands a CoolAir controller the snapshot it keeps as its history.
+    fn observe(&mut self, readings: SensorReadings) {
+        match &mut self.controller {
+            SimController::Baseline(_) => {}
+            SimController::CoolAir(ca) => ca.observe(readings),
+            SimController::Supervised(sv) => sv.observe(readings),
+        }
     }
 
     /// What the controller senses: the plant truth passed through the fault

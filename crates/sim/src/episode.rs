@@ -31,6 +31,7 @@
 //! daemon.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use coolair_runner::{stable_digest, Digest};
 use coolair_thermal::{
@@ -278,7 +279,7 @@ pub struct Episode {
     cluster: Cluster,
     tks: TksController,
     tmy: TmySeries,
-    trace: Trace,
+    trace: Arc<Trace>,
     faults: FaultPlan,
     stale_inlets: Vec<Celsius>,
     regime: CoolingRegime,

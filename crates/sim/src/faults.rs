@@ -385,25 +385,17 @@ impl FaultPlan {
         }
         // Stale-hold first: a dropped-out sensor repeats its last clean
         // value; everyone else refreshes the buffer.
-        let mut dropped = vec![false; pods];
-        for w in self.windows.iter().filter(|w| w.covers(t)) {
-            if let FaultKind::Sensor { pod, fault: SensorFault::Dropout } = w.kind {
-                if pod < pods {
-                    dropped[pod] = true;
-                }
-            }
-        }
-        for p in 0..pods {
-            if dropped[p] {
-                r.pod_inlets[p] = last_clean[p];
+        for (p, (inlet, held)) in r.pod_inlets.iter_mut().zip(last_clean.iter_mut()).enumerate() {
+            if self.dropped_out(t, p) {
+                *inlet = *held;
             } else {
-                last_clean[p] = r.pod_inlets[p];
+                *held = *inlet;
             }
         }
         // Value corruption on the sensors that still report.
         for w in self.windows.iter().filter(|w| w.covers(t)) {
             let FaultKind::Sensor { pod, fault } = w.kind else { continue };
-            if pod >= pods || dropped[pod] {
+            if pod >= pods || self.dropped_out(t, pod) {
                 continue;
             }
             match fault {
@@ -420,6 +412,30 @@ impl FaultPlan {
             }
         }
         r
+    }
+
+    /// The stale-hold half of [`FaultPlan::corrupt_readings`] alone, for a
+    /// sensing instant whose snapshot nobody reads: `last_clean` ends as a
+    /// snapshot at `t` with these true `inlets` would leave it.
+    pub fn refresh_stale_hold(&self, t: SimTime, inlets: &[f64], last_clean: &mut Vec<Celsius>) {
+        if self.windows.is_empty() {
+            return;
+        }
+        if last_clean.len() != inlets.len() {
+            *last_clean = inlets.iter().map(|&v| Celsius::new(v)).collect();
+        }
+        for (p, (&inlet, held)) in inlets.iter().zip(last_clean.iter_mut()).enumerate() {
+            if !self.dropped_out(t, p) {
+                *held = Celsius::new(inlet);
+            }
+        }
+    }
+
+    /// `true` while a dropout window silences `pod`'s sensor at `t`.
+    fn dropped_out(&self, t: SimTime, pod: usize) -> bool {
+        self.windows.iter().any(|w| {
+            w.covers(t) && w.kind == FaultKind::Sensor { pod, fault: SensorFault::Dropout }
+        })
     }
 
     /// Maps the commanded cooling regime to what the (possibly broken)
@@ -512,6 +528,7 @@ mod tests {
         let t = SimTime::from_secs(600);
         let truth = snapshot(t, &[24.0, 25.0, 23.0, 26.0]);
         assert_eq!(plan.corrupt_readings(truth.clone(), &mut stale), truth);
+        plan.refresh_stale_hold(t, &[24.0, 25.0, 23.0, 26.0], &mut stale);
         assert!(stale.is_empty(), "no state touched");
         assert_eq!(plan.apply_actuator(t, CoolingRegime::ac_on()), CoolingRegime::ac_on());
         assert!(plan.forecast_glitches().is_empty());
@@ -525,16 +542,26 @@ mod tests {
             FaultKind::Sensor { pod: 1, fault: SensorFault::Dropout },
         ));
         let mut stale = Vec::new();
+        // The stale-hold refresh alone leaves its buffer as the full
+        // corruption does, instant by instant.
+        let mut refreshed = Vec::new();
+        let mut refresh = |secs: u64, inlets: &[f64], stale: &[Celsius]| {
+            plan.refresh_stale_hold(SimTime::from_secs(secs), inlets, &mut refreshed);
+            assert_eq!(refreshed, stale, "stale-hold refresh at {secs} s");
+        };
         // Before the fault: readings flow, buffer fills.
         let before = plan.corrupt_readings(snapshot(SimTime::from_secs(300), &[24.0, 25.0, 23.0, 26.0]), &mut stale);
         assert_eq!(before.pod_inlets[1], Celsius::new(25.0));
+        refresh(300, &[24.0, 25.0, 23.0, 26.0], &stale);
         // During: pod 1 freezes at its last clean value while truth moves.
         let during = plan.corrupt_readings(snapshot(SimTime::from_secs(1200), &[24.5, 29.0, 23.5, 26.5]), &mut stale);
         assert_eq!(during.pod_inlets[1], Celsius::new(25.0), "stale-hold");
         assert_eq!(during.pod_inlets[0], Celsius::new(24.5), "others untouched");
+        refresh(1200, &[24.5, 29.0, 23.5, 26.5], &stale);
         // After: live again.
         let after = plan.corrupt_readings(snapshot(SimTime::from_secs(6060), &[24.0, 28.0, 23.0, 26.0]), &mut stale);
         assert_eq!(after.pod_inlets[1], Celsius::new(28.0));
+        refresh(6060, &[24.0, 28.0, 23.0, 26.0], &stale);
     }
 
     #[test]

@@ -149,6 +149,11 @@ pub struct ClusterStats {
 }
 
 /// The cluster simulator.
+///
+/// A compute tick costs its events, not the server count: the per-state
+/// server counts, the last target applied and each pod's power draw are
+/// kept up to date as servers change state, so the 64-server walks run
+/// only when the target changes or a server is in decommission grace.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
@@ -158,6 +163,19 @@ pub struct Cluster {
     rank: Vec<usize>,
     /// Servers in the active state.
     active: usize,
+    /// Servers in decommission grace.
+    decommissioned: usize,
+    /// Servers asleep.
+    asleep: usize,
+    /// The target [`Cluster::set_active_target`] last applied under the
+    /// current priority order. Between two calls only [`Cluster::step`]
+    /// changes states, and only from decommissioned to asleep, which the
+    /// same target leaves alone, so repeating it is a no-op.
+    applied_target: Option<usize>,
+    /// Each pod's power draw for the current states and `pod_power_bits`.
+    pod_power: Vec<Watts>,
+    /// The busy fraction (as bits) `pod_power` was summed for.
+    pod_power_bits: u64,
     jobs: VecDeque<RunningJob>,
     /// A job with no positive work was queued since the last step, so
     /// that step drops finished jobs over the whole queue, not just the
@@ -182,9 +200,14 @@ impl Cluster {
                 power_cycles: 0,
             })
             .collect();
-        Cluster {
+        let mut cluster = Cluster {
             rank: (0..config.total_servers).collect(),
             active: config.total_servers,
+            decommissioned: 0,
+            asleep: 0,
+            applied_target: None,
+            pod_power: Vec::with_capacity(config.pods),
+            pod_power_bits: 0,
             config,
             servers,
             jobs: VecDeque::new(),
@@ -195,7 +218,9 @@ impl Cluster {
             deadline_violations: 0,
             late_starts: 0,
             delays: DelayStats::default(),
-        }
+        };
+        cluster.sum_pod_power();
+        cluster
     }
 
     /// The cluster's configuration.
@@ -263,51 +288,71 @@ impl Cluster {
             seen[s] = true;
             self.rank[s] = position;
         }
+        self.applied_target = None;
     }
 
     /// Sets which servers are active. The first `target` servers in the
     /// priority order (index order unless [`Cluster::set_priority`] set
     /// another) become active; the rest are decommissioned and eventually
     /// sleep. Covering-subset servers are always kept active regardless of
-    /// the target.
+    /// the target. Repeating the last target applied returns at once.
     pub fn set_active_target(&mut self, target: usize) {
-        let mut active = 0;
+        if self.applied_target == Some(target) {
+            return;
+        }
+        self.applied_target = Some(target);
+        let mut changed = false;
         for (s, slot) in self.servers.iter_mut().enumerate() {
             if self.rank[s] < target || self.config.is_covering(s) {
-                if slot.state != PowerState::Active {
-                    slot.state = PowerState::Active;
-                    slot.decommissioned_at = None;
+                match slot.state {
+                    PowerState::Active => continue,
+                    PowerState::Decommissioned => self.decommissioned -= 1,
+                    PowerState::Sleep => self.asleep -= 1,
                 }
-                active += 1;
+                slot.state = PowerState::Active;
+                slot.decommissioned_at = None;
+                self.active += 1;
+                changed = true;
             } else if slot.state == PowerState::Active {
                 slot.state = PowerState::Decommissioned;
                 // Timestamp set lazily at the next step.
+                self.active -= 1;
+                self.decommissioned += 1;
+                changed = true;
             }
         }
-        self.active = active;
+        if changed {
+            self.sum_pod_power();
+        }
     }
 
     /// Advances execution by `dt` ending at `now + dt`.
     pub fn step(&mut self, now: SimTime, dt: SimDuration) -> ClusterStats {
         let dt_s = dt.as_secs() as f64;
 
-        // Decommissioned servers sleep once their grace expires; count the
-        // awake ones in the same pass (sleeping never changes `active`).
-        let mut awake = 0;
-        for slot in &mut self.servers {
-            if slot.state == PowerState::Decommissioned {
-                match slot.decommissioned_at {
-                    None => slot.decommissioned_at = Some(now),
-                    Some(t0) if now.saturating_since(t0) >= self.config.decommission_grace => {
-                        slot.state = PowerState::Sleep;
-                        slot.decommissioned_at = None;
-                        slot.power_cycles += 1;
+        // Decommissioned servers sleep once their grace expires (sleeping
+        // never changes `active`); with none in grace there is nothing to
+        // walk.
+        let mut slept = false;
+        if self.decommissioned > 0 {
+            for slot in &mut self.servers {
+                if slot.state == PowerState::Decommissioned {
+                    match slot.decommissioned_at {
+                        None => slot.decommissioned_at = Some(now),
+                        Some(t0) if now.saturating_since(t0) >= self.config.decommission_grace => {
+                            slot.state = PowerState::Sleep;
+                            slot.decommissioned_at = None;
+                            slot.power_cycles += 1;
+                            self.decommissioned -= 1;
+                            self.asleep += 1;
+                            slept = true;
+                        }
+                        _ => {}
                     }
-                    _ => {}
                 }
             }
-            awake += usize::from(slot.state.is_awake());
         }
+        let awake = self.servers.len() - self.asleep;
         let active = self.active;
 
         // Allocate slots to eligible jobs in arrival order, up to the first
@@ -368,6 +413,9 @@ impl Cluster {
         self.completed_jobs += completed_now;
         self.busy_server_seconds += busy as f64 * dt_s;
         self.last_busy_fraction = if active > 0 { busy as f64 / active as f64 } else { 0.0 };
+        if slept || self.last_busy_fraction.to_bits() != self.pod_power_bits {
+            self.sum_pod_power();
+        }
 
         ClusterStats {
             busy_slots: busy,
@@ -401,15 +449,22 @@ impl Cluster {
     }
 
     /// [`Cluster::pod_power`] written into `pods` (one entry per pod), so a
-    /// caller refreshing the load every tick reuses one buffer. Each pod
-    /// sums its contiguous block of servers in server order.
+    /// caller refreshing the load every tick reuses one buffer.
     pub fn write_pod_power(&self, pods: &mut Vec<Watts>) {
+        pods.clear();
+        pods.extend_from_slice(&self.pod_power);
+    }
+
+    /// Re-sums the pod power cache for the current states and busy
+    /// fraction: each pod folds its contiguous block of servers in server
+    /// order.
+    fn sum_pod_power(&mut self) {
         // Every server draws one of three values; evaluate each once.
         let active = coolair_thermal_server_power(self.last_busy_fraction, false);
         let idle = coolair_thermal_server_power(0.0, false);
         let asleep = coolair_thermal_server_power(0.0, true);
-        pods.clear();
-        pods.extend(self.servers.chunks(self.config.servers_per_pod()).map(|servers| {
+        self.pod_power.clear();
+        self.pod_power.extend(self.servers.chunks(self.config.servers_per_pod()).map(|servers| {
             servers.iter().fold(Watts::ZERO, |sum, slot| {
                 sum + match slot.state {
                     PowerState::Active => active,
@@ -418,6 +473,7 @@ impl Cluster {
                 }
             })
         }));
+        self.pod_power_bits = self.last_busy_fraction.to_bits();
     }
 
     /// Total IT power draw.
@@ -817,6 +873,189 @@ mod tests {
         }
         assert_eq!(c.demand(SimTime::EPOCH), 64);
         assert_eq!(c.outstanding_jobs(), 5_000);
+    }
+
+    /// The cluster's server bookkeeping as it was before the incremental
+    /// counts and the pod power cache: every call walks all the servers.
+    struct WalkReference {
+        /// Per server: state, decommission time, power cycles.
+        servers: Vec<(PowerState, Option<SimTime>, u64)>,
+        rank: Vec<usize>,
+        active: usize,
+        config: ClusterConfig,
+    }
+
+    impl WalkReference {
+        fn new(config: ClusterConfig) -> Self {
+            WalkReference {
+                servers: vec![(PowerState::Active, None, 0); config.total_servers],
+                rank: (0..config.total_servers).collect(),
+                active: config.total_servers,
+                config,
+            }
+        }
+
+        fn set_priority(&mut self, priority: &[usize]) {
+            for (position, &s) in priority.iter().enumerate() {
+                self.rank[s] = position;
+            }
+        }
+
+        fn set_active_target(&mut self, target: usize) {
+            let mut active = 0;
+            for (s, slot) in self.servers.iter_mut().enumerate() {
+                if self.rank[s] < target || self.config.is_covering(s) {
+                    if slot.0 != PowerState::Active {
+                        (slot.0, slot.1) = (PowerState::Active, None);
+                    }
+                    active += 1;
+                } else if slot.0 == PowerState::Active {
+                    slot.0 = PowerState::Decommissioned;
+                }
+            }
+            self.active = active;
+        }
+
+        /// The grace walk of a step; returns the awake servers and how
+        /// many fell asleep.
+        fn step(&mut self, now: SimTime) -> (usize, usize) {
+            let (mut awake, mut slept) = (0, 0);
+            for slot in &mut self.servers {
+                if slot.0 == PowerState::Decommissioned {
+                    match slot.1 {
+                        None => slot.1 = Some(now),
+                        Some(t0) if now.saturating_since(t0) >= self.config.decommission_grace => {
+                            (slot.0, slot.1) = (PowerState::Sleep, None);
+                            slot.2 += 1;
+                            slept += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                awake += usize::from(slot.0.is_awake());
+            }
+            (awake, slept)
+        }
+
+        fn pod_power(&self, busy_fraction: f64) -> Vec<Watts> {
+            let active = coolair_thermal_server_power(busy_fraction, false);
+            let idle = coolair_thermal_server_power(0.0, false);
+            let asleep = coolair_thermal_server_power(0.0, true);
+            let per_pod = self.config.servers_per_pod();
+            self.servers
+                .chunks(per_pod)
+                .map(|servers| {
+                    servers.iter().fold(Watts::ZERO, |sum, slot| {
+                        sum + match slot.0 {
+                            PowerState::Active => active,
+                            PowerState::Decommissioned => idle,
+                            PowerState::Sleep => asleep,
+                        }
+                    })
+                })
+                .collect()
+        }
+
+        fn check(&self, c: &Cluster, busy_fraction: f64, tick: u64) {
+            for (s, slot) in self.servers.iter().enumerate() {
+                assert_eq!(c.server_state(s), slot.0, "tick {tick}: server {s}");
+            }
+            let mut pods = Vec::new();
+            c.write_pod_power(&mut pods);
+            let want: Vec<u64> =
+                self.pod_power(busy_fraction).iter().map(|w| w.value().to_bits()).collect();
+            let got: Vec<u64> = pods.iter().map(|w| w.value().to_bits()).collect();
+            assert_eq!(got, want, "tick {tick}: pod power");
+            let cycles = self.servers.iter().map(|slot| slot.2);
+            assert_eq!(c.total_power_cycles(), cycles.clone().sum::<u64>(), "tick {tick}");
+            assert_eq!(c.max_power_cycles(), cycles.max().unwrap_or(0), "tick {tick}");
+            assert_eq!(c.active_fraction(), self.active as f64 / self.servers.len() as f64);
+        }
+    }
+
+    /// The incremental server counts, the repeated-target shortcut, the
+    /// grace walk skipped with no server in grace and the pod power cache
+    /// agree tick by tick with the all-server walks they replace, over a
+    /// seeded stream of arrivals and targets: held and repeated targets,
+    /// targets under the covering subset and over the server count, drops
+    /// that put most of the cluster into grace at once (so whole bursts
+    /// expire together), and priority orders installed mid-stream.
+    #[test]
+    fn incremental_server_state_matches_the_all_server_walks() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let config = ClusterConfig::parasol();
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        let mut c = Cluster::new(config.clone());
+        let mut reference = WalkReference::new(config.clone());
+        let dt = SimDuration::from_minutes(1);
+        let mut target = 64;
+        let mut busy_fraction = 0.0;
+        reference.check(&c, busy_fraction, 0);
+        let (mut changes, mut repeats, mut under, mut over, mut biggest_burst) = (0, 0, 0, 0, 0);
+        for tick in 0..6_000u64 {
+            let now = SimTime::from_secs(tick * 60);
+            for _ in 0..rng.gen_range(0..=2u32) {
+                let map_tasks = rng.gen_range(1..=48u32);
+                c.submit(Job {
+                    id: JobId(tick),
+                    submit: now,
+                    map_tasks,
+                    reduce_tasks: rng.gen_range(0..=4u32),
+                    map_work: f64::from(map_tasks) * rng.gen_range(30.0..900.0),
+                    reduce_work: rng.gen_range(0.0..600.0),
+                    start_deadline: None,
+                });
+            }
+            if tick == 1_500 || tick == 4_000 {
+                let mut priority: Vec<usize> = (0..config.total_servers).collect();
+                if tick == 1_500 {
+                    priority.reverse();
+                } else {
+                    priority.shuffle(&mut rng);
+                }
+                c.set_priority(&priority);
+                reference.set_priority(&priority);
+            }
+            // Hold each target for a while; now and then swing the whole
+            // cluster up and back down so a burst of servers expires at once.
+            if rng.gen_bool(0.08) {
+                target = match rng.gen_range(0..6u32) {
+                    0 => rng.gen_range(0..config.covering_count),
+                    1 => rng.gen_range(config.total_servers + 1..=2 * config.total_servers),
+                    2 if target >= 48 => rng.gen_range(0..=4),
+                    2 => config.total_servers,
+                    _ => rng.gen_range(0..=config.total_servers),
+                };
+                changes += 1;
+                under += usize::from(target < config.covering_count);
+                over += usize::from(target > config.total_servers);
+            } else {
+                repeats += 1;
+            }
+            c.set_active_target(target);
+            reference.set_active_target(target);
+            // Between the target and the step the load reflects the new
+            // states at the last step's busy fraction.
+            reference.check(&c, busy_fraction, tick);
+
+            let stats = c.step(now, dt);
+            let (awake, slept) = reference.step(now);
+            biggest_burst = biggest_burst.max(slept);
+            assert_eq!(stats.active_servers, reference.active, "tick {tick}: active");
+            assert_eq!(stats.awake_servers, awake, "tick {tick}: awake");
+            busy_fraction = if reference.active > 0 {
+                stats.busy_slots as f64 / reference.active as f64
+            } else {
+                0.0
+            };
+            reference.check(&c, busy_fraction, tick);
+        }
+        assert!(changes > 300 && repeats > 4_000, "{changes} changes, {repeats} repeats");
+        assert!(under > 20 && over > 20, "{under} targets under covering, {over} over the count");
+        assert!(biggest_burst >= 40, "largest burst of expiries: {biggest_burst}");
     }
 
     /// FNV-1a over 64-bit words: a digest fixed by this file alone.

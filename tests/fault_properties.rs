@@ -365,3 +365,95 @@ fn raising_fault_severity_never_lowers_the_ladder_state() {
         "total dropout must arm the failsafe beyond the thermal baseline: {failsafe:?}"
     );
 }
+
+/// Faulted closed-loop days serialize to the bytes they did before the
+/// engine took one controller snapshot per sensing instant: the Baseline,
+/// All-ND and All-ND+SV on the smooth plant simulate two Newark days under
+/// a plan with dropout, stuck-at, drift and noise windows, against one
+/// digest of their minute-level JSON each (with the supervisor's scored
+/// model error, which only the observation at a control tick feeds). The
+/// windows open and close on observe ticks between control ticks, so the
+/// stale-hold buffer the dropout repeats is the one the observe ticks
+/// refreshed.
+#[test]
+fn faulted_days_match_their_pinned_digests() {
+    use coolair_suite::core::{
+        train_cooling_model, CoolAir, CoolAirConfig, SupervisedCoolAir, SupervisorConfig,
+        TrainingConfig,
+    };
+    use coolair_suite::runner::stable_digest;
+    use coolair_suite::sim::{SimController, Simulation};
+    use coolair_suite::thermal::{Infrastructure, PlantConfig, TksConfig, TksController};
+    use coolair_suite::weather::{Forecaster, TmySeries};
+    use coolair_suite::workload::{facebook_trace, Cluster, ClusterConfig};
+
+    let tmy = TmySeries::generate(&Location::newark(), 42);
+    let model = train_cooling_model(&tmy, &TrainingConfig::quick());
+    let trace = facebook_trace(1);
+    let days = [21u64, 200u64];
+    let mut plan = FaultPlan::with_seed(17);
+    for day in days {
+        let at = |hours: u64, minutes: u64| {
+            SimTime::from_secs(day * 86_400 + hours * 3_600 + minutes * 60)
+        };
+        let sensor = |pod, fault| FaultKind::Sensor { pod, fault };
+        for (start, end, kind) in [
+            (at(2, 4), at(5, 36), sensor(0, SensorFault::Dropout)),
+            (at(9, 14), at(13, 2), sensor(0, SensorFault::Dropout)),
+            (at(4, 6), at(7, 48), sensor(1, SensorFault::StuckAt(24.5))),
+            (at(8, 2), at(16, 44), sensor(2, SensorFault::Drift { c_per_hour: 0.6 })),
+            (at(12, 8), at(20, 26), sensor(3, SensorFault::Noise { std_c: 0.8 })),
+            (at(14, 4), at(15, 58), sensor(3, SensorFault::Dropout)),
+        ] {
+            plan = plan.with_window(FaultWindow { start, end, kind });
+        }
+    }
+    let pins: [(&str, &str); 3] = [
+        ("Baseline", "6175687070156751"),
+        ("All-ND", "fbc2e497ceee800e"),
+        ("All-ND+SV", "3887ab780d521571"),
+    ];
+    let mut mismatches = Vec::new();
+    for (system, want) in pins {
+        let coolair = || {
+            CoolAir::new(
+                Version::AllNd,
+                CoolAirConfig::default(),
+                model.clone(),
+                Forecaster::perfect(tmy.clone()),
+                Infrastructure::Smooth,
+            )
+        };
+        let controller = match system {
+            "Baseline" => SimController::Baseline(TksController::new(TksConfig::baseline())),
+            "All-ND" => SimController::CoolAir(Box::new(coolair())),
+            "All-ND+SV" => SimController::Supervised(Box::new(SupervisedCoolAir::new(
+                coolair(),
+                SupervisorConfig::default(),
+            ))),
+            other => unreachable!("no system {other}"),
+        };
+        let mut sim = Simulation::new(
+            controller,
+            PlantConfig::smooth(),
+            Cluster::new(ClusterConfig::parasol()),
+            tmy.clone(),
+            SimConfig { record_minutes: true, ..SimConfig::default() },
+        );
+        sim.set_fault_plan(plan.clone());
+        let outs = days.map(|day| sim.run_day(day, trace.jobs_for_day(day)));
+        assert!(outs.iter().all(|o| o.record.fault_minutes > 0), "{system}: faults fired");
+        let scored = match sim.controller() {
+            SimController::Supervised(sv) => {
+                assert!(sv.model_error().is_some(), "{system}: predictions were scored");
+                Some((sv.model_error(), sv.peak_model_error()))
+            }
+            _ => None,
+        };
+        let got = stable_digest(&(outs, scored)).to_string();
+        if got != want {
+            mismatches.push(format!("{system}: {got} (pinned {want})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "faulted days changed:\n{}", mismatches.join("\n"));
+}

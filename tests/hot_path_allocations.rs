@@ -1,10 +1,11 @@
 //! Heap allocations on the simulator's hot paths, counted after warm-up: a
 //! physics step of the plant and a compute tick of the cluster allocate
-//! nothing, and a Smooth Cooling Optimizer tick allocates only for the
-//! decision it returns and the tick's prediction context. Training costs
-//! a bounded number of allocations too: a least-squares fit allocates its
-//! buffers once, whatever its row count, and a Cooling Model training run
-//! allocates per fitted model, not per simulated step or sample.
+//! nothing, a Smooth Cooling Optimizer tick allocates only for the
+//! decision it returns, and a Baseline day only for the snapshots its
+//! controller reads. Training costs a bounded number of allocations too: a
+//! least-squares fit allocates its buffers once, whatever its row count,
+//! and a Cooling Model training run allocates per fitted model, not per
+//! simulated step or sample.
 //!
 //! A counting global allocator keeps one count per thread, so the tests of
 //! this file can run in parallel without reading each other's allocations.
@@ -15,8 +16,10 @@ use std::cell::Cell;
 use coolair_suite::core::manager::optimizer::CoolingOptimizer;
 use coolair_suite::core::{train_cooling_model, CoolAirConfig, TempBand, TrainingConfig, Version};
 use coolair_suite::ml::{Dataset, LinearModel};
+use coolair_suite::sim::{SimConfig, SimController, Simulation};
 use coolair_suite::thermal::{
-    CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig,
+    CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig, TksConfig,
+    TksController,
 };
 use coolair_suite::units::{
     psychro, Celsius, FanSpeed, RelativeHumidity, SimDuration, SimTime, Watts,
@@ -136,7 +139,7 @@ fn compute_tick_allocates_nothing() {
 }
 
 #[test]
-fn warmed_smooth_optimizer_select_allocates_at_most_40_times() {
+fn warmed_smooth_optimizer_select_allocates_at_most_5_times() {
     let tmy = TmySeries::generate(&Location::newark(), 11);
     let model = train_cooling_model(&tmy, &TrainingConfig::quick());
     let cfg = CoolAirConfig::default();
@@ -160,13 +163,35 @@ fn warmed_smooth_optimizer_select_allocates_at_most_40_times() {
     let mut decision = None;
     let count = allocations_during(|| decision = Some(select()));
     assert_eq!(decision, Some(warm), "a repeated tick decides the same");
-    // The tick's prediction context (its start state, scratch and four
-    // blend anchors) and the returned decision's prediction; the 20
-    // scored candidates themselves reuse the optimizer's two buffers.
-    assert!(
-        count <= 40,
-        "a warmed smooth select allocated {count} times"
+    // The returned decision's prediction (its five vectors) alone: the 20
+    // scored candidates reuse the optimizer's two buffers, and the tick's
+    // prediction context (start state, scratch, four blend anchors) the
+    // buffers the optimizer keeps for it.
+    assert!(count <= 5, "a warmed smooth select allocated {count} times");
+}
+
+/// A warmed Baseline day builds controller snapshots at its control ticks
+/// only: none at the observe ticks between them, whose snapshot it never
+/// reads.
+#[test]
+fn baseline_day_allocates_at_most_330_times() {
+    let tmy = TmySeries::generate(&Location::newark(), 5);
+    let trace = facebook_trace(1);
+    let mut sim = Simulation::new(
+        SimController::Baseline(TksController::new(TksConfig::baseline())),
+        PlantConfig::smooth(),
+        Cluster::new(ClusterConfig::parasol()),
+        tmy,
+        SimConfig::default(),
     );
+    let _ = sim.run_day(99, trace.jobs_for_day(99));
+    let jobs = trace.jobs_for_day(100);
+    let count = allocations_during(|| {
+        let _ = sim.run_day(100, jobs);
+    });
+    // 162 ten-minute control ticks over the day and its three warm-up
+    // hours, two vectors per snapshot, and the day's metric buffers.
+    assert!(count <= 330, "a warmed Baseline day allocated {count} times");
 }
 
 /// 2 000 seeded rows over seven features: a noisy linear target, a tenth
